@@ -37,19 +37,18 @@ constexpr std::size_t kFullBytes = 256 * 1024 * 1024;
 constexpr std::size_t kQuickBytes = 16 * 1024 * 1024;
 const char* kCompressedPath = "/tmp/gompresso_bench_serve.gmp";
 
-/// Pool-byte budget for a session over `index`: window in-flight decodes
-/// (each holding one decoded block + one compressed staging buffer), the
-/// LRU cache, one demanded block beyond the window, and one copy-loop's
+/// Pool-byte budget for `session`: window in-flight decodes (each
+/// holding one decoded block + one compressed staging buffer), the LRU
+/// cache, one demanded block beyond the window, and one copy-loop's
 /// slack. Deliberately independent of the number of blocks in the file.
-std::uint64_t pool_budget(const serve::SeekIndex& index,
+std::uint64_t pool_budget(const DecodeSession& session,
                           const serve::SessionOptions& opt) {
   std::uint64_t max_comp = 0;
   std::uint64_t max_block = 0;
-  for (std::size_t s = 0; s < index.num_segments(); ++s) {
-    max_block = std::max<std::uint64_t>(max_block, index.segment_header(s).block_size);
-  }
-  for (std::size_t b = 0; b < index.num_blocks(); ++b) {
-    max_comp = std::max(max_comp, index.block(b).comp_size);
+  for (std::size_t b = 0; b < session.num_blocks(); ++b) {
+    const serve::BackendBlock e = session.block_extent(b);
+    max_block = std::max(max_block, e.uncomp_size);
+    max_comp = std::max(max_comp, e.comp_size);
   }
   const std::uint64_t window = std::max<std::size_t>(1, opt.max_inflight_blocks);
   const std::uint64_t cache = std::max(opt.cache_blocks, opt.max_inflight_blocks);
@@ -59,7 +58,7 @@ std::uint64_t pool_budget(const serve::SeekIndex& index,
 void assert_memory_bound(const DecodeSession& session,
                          const serve::SessionOptions& opt, const char* what) {
   const util::BufferPool::Stats pool = session.stats().pool;
-  const std::uint64_t budget = pool_budget(session.index(), opt);
+  const std::uint64_t budget = pool_budget(session, opt);
   std::printf("%-28s peak pooled %.2f MiB (budget %.2f MiB, %zu buffers)\n", what,
               pool.peak_outstanding_bytes / 1048576.0, budget / 1048576.0,
               pool.peak_outstanding);
@@ -105,14 +104,15 @@ int main(int argc, char** argv) {
   std::printf("%-28s %14.1f MB/s\n", "batch/decompress", input.size() / 1e6 / batch_sec);
 
   // --- streaming sequential ---------------------------------------------
-  serve::SessionOptions sopt;
-  sopt.verify_checksums = false;
+  OpenOptions oopt;
+  oopt.decode.verify_checksums = false;
+  const serve::SessionOptions& sopt = oopt.session;
   Bytes chunk(kStreamCopyChunk);
   const auto stream_once = [&](bool verify) {
-    DecodeSession session(serve::open_file_source(kCompressedPath), sopt);
+    const auto session = gompresso::open(kCompressedPath, oopt);
     std::uint64_t off = 0;
     std::size_t n;
-    while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+    while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
       if (verify) {
         check(std::memcmp(chunk.data(), input.data() + off, n) == 0,
               "bench: streamed bytes differ from the input");
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     check(off == input.size(), "bench: streamed size mismatch");
     // The memory gate rides along on every run — it must hold for the
     // full kFullBytes input, proving the bound has no file-size term.
-    assert_memory_bound(session, sopt, "serve/sequential");
+    assert_memory_bound(*session, sopt, "serve/sequential");
   };
   stream_once(/*verify=*/true);  // correctness gate (hard), also warm-up
   const double stream_sec = time_median_of(reps, [&] { stream_once(false); });
@@ -141,11 +141,11 @@ int main(int argc, char** argv) {
     auto faulty = std::make_unique<serve::FaultInjectingByteSource>(
         serve::open_file_source(kCompressedPath));
     serve::FaultInjectingByteSource* handle = faulty.get();
-    DecodeSession session(std::move(faulty), sopt);
+    const auto session = gompresso::open(std::move(faulty), oopt);
     handle->set_random_transients(/*rate=*/0.01, /*burst=*/1, /*seed=*/1234);
     std::uint64_t off = 0;
     std::size_t n;
-    while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+    while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
       if (verify) {
         check(std::memcmp(chunk.data(), input.data() + off, n) == 0,
               "bench: degraded stream bytes differ from the input");
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
       off += n;
     }
     check(off == input.size(), "bench: degraded stream size mismatch");
-    const serve::SessionStats st = session.stats();
+    const serve::SessionStats st = session->stats();
     check(st.permanent_errors == 0 && st.bytes_zero_filled == 0,
           "bench: transient-only plan must surface no permanent damage");
     degraded_transients = handle->stats().transient_failures;
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
 
   // --- warm random access ------------------------------------------------
   {
-    DecodeSession session(serve::open_file_source(kCompressedPath), sopt);
+    const auto session = gompresso::open(kCompressedPath, oopt);
     Rng rng(99);
     constexpr std::size_t kProbe = 64 * 1024;
     Bytes got(kProbe);
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
       for (int i = 0; i < 64; ++i) {
         const std::uint64_t off = rng.next_below(input.size());
         const std::size_t n =
-            session.read_at(off, MutableByteSpan(got.data(), got.size()));
+            session->read_at(off, MutableByteSpan(got.data(), got.size()));
         check(n == std::min<std::uint64_t>(kProbe, input.size() - off),
               "bench: read_at length mismatch");
         check(std::memcmp(got.data(), input.data() + off, n) == 0,
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     report.add("serve/random_64k", random_sec, probes / (reps + 1));
     std::printf("%-28s %14.1f MB/s\n", "serve/random_64k",
                 probes / (reps + 1) / 1e6 / random_sec);
-    assert_memory_bound(session, sopt, "serve/random_64k");
+    assert_memory_bound(*session, sopt, "serve/random_64k");
   }
 
   // --- cold-seek latency -------------------------------------------------
@@ -200,8 +200,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < (quick ? 8 : 16); ++i) {
       const std::uint64_t off = rng.next_below(input.size());
       Stopwatch t;
-      DecodeSession session(serve::open_file_source(kCompressedPath), sopt);
-      const std::size_t n = session.read_at(off, MutableByteSpan(got.data(), got.size()));
+      const auto session = gompresso::open(kCompressedPath, oopt);
+      const std::size_t n = session->read_at(off, MutableByteSpan(got.data(), got.size()));
       samples.push_back(t.seconds());
       check(n > 0 && std::memcmp(got.data(), input.data() + off, n) == 0,
             "bench: cold seek returned wrong bytes");

@@ -166,14 +166,8 @@ Bytes compress(ByteSpan input, const CompressOptions& options, CompressStats* st
   // pool when there are multiple blocks, intra-block sub-block fan-out
   // for a single-block input, serial otherwise. Every worker owns one
   // pre-reserved EncodeScratch.
-  ThreadPool* pool = nullptr;
   std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
+  ThreadPool* pool = resolve_pool(options.num_threads, own_pool);
 
   std::vector<core::EncodeScratch> workers;
   if (pool == nullptr || pool->parallelism() == 1) {

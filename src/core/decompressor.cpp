@@ -41,14 +41,8 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
   };
 
   // Pick the thread plan (see the header comment).
-  ThreadPool* pool = nullptr;
   std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
+  ThreadPool* pool = resolve_pool(options.num_threads, own_pool);
 
   std::vector<core::BlockDecodeContext> workers;
   if (pool == nullptr || pool->parallelism() == 1) {

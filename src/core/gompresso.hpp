@@ -12,7 +12,10 @@
 // Reading any supported container (native GMPZ/GMPS or gzip) goes
 // through one front door:
 //
-//   auto session = gompresso::open("data.gz");   // sniffs the magic
+//   gompresso::OpenOptions oopt;
+//   oopt.session.num_threads = 4;                // scheduling knobs
+//   oopt.decode.verify_checksums = true;         // decode knobs
+//   auto session = gompresso::open("data.gz", oopt);  // sniffs the magic
 //   session->read_at(offset, span);              // prefetch + cache
 //
 // Backend map — open() dispatches on the leading bytes:
@@ -20,7 +23,10 @@
 //                "GMPX" sidecar checkpoint)
 //   gzip      -> ingest::make_gzip_backend (GzipIndex discovered by
 //                speculative parallel decode, "GZIX" sidecar)
-// See core/open.hpp for OpenOptions (sidecars, gzip chunking) and
+// A caller holding a pre-built index builds the backend itself and
+// passes it to DecodeSession's (or net::Server's) backend constructor;
+// there is no other way to construct either. See core/open.hpp for
+// OpenOptions (sidecars, decode knobs, gzip chunking) and
 // serve/backend.hpp for the ContainerBackend seam itself.
 //
 // See README.md for the architecture overview and DESIGN.md for the

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <iterator>
-#include <optional>
 
 #include "format/sniff.hpp"
 #include "ingest/gzip_backend.hpp"
@@ -11,15 +10,6 @@
 
 namespace gompresso {
 namespace {
-
-serve::BackendDecodeOptions backend_decode_options(
-    const serve::SessionOptions& s) {
-  serve::BackendDecodeOptions o;
-  o.verify_checksums = s.verify_checksums;
-  o.auto_strategy = s.auto_strategy;
-  o.strategy = s.strategy;
-  return o;
-}
 
 Bytes read_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -63,8 +53,7 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
       } else {
         index = serve::SeekIndex::build(source);
       }
-      backend = serve::make_gmpz_backend(std::move(index),
-                                         backend_decode_options(options.session));
+      backend = serve::make_gmpz_backend(std::move(index), options.decode);
       break;
     }
     case format::ContainerKind::kGzip: {
@@ -78,18 +67,12 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
       }
       ingest::GzipIndexOptions g = options.gzip;
       // The index build parallelizes on the same pool resolution the
-      // session will use for decode, unless the caller pinned one.
-      std::optional<ThreadPool> own_pool;
+      // session will use for decode, unless the caller pinned one
+      // (num_threads == 1 leaves it null: a sequential build).
+      std::unique_ptr<ThreadPool> own_pool;
       if (g.pool == nullptr) {
-        if (options.session.pool != nullptr) {
-          g.pool = options.session.pool;
-        } else if (options.session.num_threads == 0) {
-          g.pool = &default_pool();
-        } else if (options.session.num_threads > 1) {
-          own_pool.emplace(options.session.num_threads);
-          g.pool = &*own_pool;
-        }
-        // num_threads == 1: leave null — sequential build.
+        g.pool = resolve_pool(options.session.num_threads, own_pool,
+                              options.session.pool);
       }
       backend = ingest::make_gzip_backend(ingest::GzipIndex::build(source, g));
       break;

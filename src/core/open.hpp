@@ -18,6 +18,13 @@
 //                                                     speculative decode,
 //                                                     "GZIX" sidecar)
 //
+// This is the only way the library builds a session or a server
+// backend; callers that already hold an index construct the backend
+// themselves (serve::make_gmpz_backend) and pass it to the
+// three-argument DecodeSession / net::Server constructors. Every knob
+// has one home: scheduling on OpenOptions::session, decode choices on
+// OpenOptions::decode, gzip index geometry on OpenOptions::gzip.
+//
 // OpenOptions::sidecar_path points at a checkpointed seek table of
 // either flavor; the sidecar's own magic picks the loader, and a
 // sidecar of the wrong flavor for the sniffed container is a
@@ -38,6 +45,11 @@ struct OpenOptions {
   /// Session tuning, passed through to the DecodeSession (and used to
   /// resolve the gzip index-build pool when `gzip.pool` is unset).
   serve::SessionOptions session;
+  /// Decode knobs (checksum verification, native strategy choice),
+  /// passed straight to the backend open_backend() builds. The gzip
+  /// backend ignores them: its index build always checks every
+  /// member's CRC32/ISIZE, and it has no strategy to choose.
+  serve::BackendDecodeOptions decode;
   /// Optional checkpointed seek table ("GMPX" or "GZIX"); empty = scan
   /// the source. A missing file is an error — callers that treat the
   /// sidecar as a cache should stat it first (as `gomp` does).

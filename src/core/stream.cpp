@@ -11,8 +11,6 @@
 #include "core/decompressor.hpp"
 #include "core/open.hpp"
 #include "format/sniff.hpp"
-#include "ingest/gzip_format.hpp"
-#include "ingest/inflate.hpp"
 #include "serve/decode_session.hpp"
 #include "util/byte_reader.hpp"
 #include "util/varint.hpp"
@@ -26,31 +24,41 @@ void write_bytes(std::ostream& out, ByteSpan data) {
   check(out.good(), "stream: write failed");
 }
 
-/// Decode path for seekable inputs: gompresso::open() sniffs the
-/// container (GMPS, bare GMPZ, or gzip) and a DecodeSession over the
-/// stream gives the pipelined-prefetch engine; memory stays bounded by
-/// its window regardless of segment size (the old implementation
-/// buffered whole segments).
-std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
-                                        const DecompressOptions& options) {
+/// The decode knobs of a batch call, routed to the one place a session
+/// takes them from: the backend open() builds.
+OpenOptions open_options(const DecompressOptions& options) {
   OpenOptions oopt;
   oopt.session.num_threads = options.num_threads;
-  oopt.session.verify_checksums = options.verify_checksums;
-  oopt.session.auto_strategy = options.auto_strategy;
-  oopt.session.strategy = options.strategy;
+  oopt.decode.verify_checksums = options.verify_checksums;
+  oopt.decode.auto_strategy = options.auto_strategy;
+  oopt.decode.strategy = options.strategy;
+  return oopt;
+}
 
-  const std::istream::pos_type base = in.tellg();
-  std::unique_ptr<serve::DecodeSession> session =
-      open(serve::istream_source(in), oopt);
-
+/// Copies a session's whole payload to `out` through its sequential
+/// cursor (pipelined prefetch; memory bounded by the session window).
+/// Both the seekable path and gzip on a pipe decode through this loop.
+std::uint64_t copy_session(serve::DecodeSession& session, std::ostream& out) {
   Bytes chunk(kStreamCopyChunk);
   std::uint64_t total = 0;
   while (true) {
-    const std::size_t n = session->read(MutableByteSpan(chunk.data(), chunk.size()));
+    const std::size_t n = session.read(MutableByteSpan(chunk.data(), chunk.size()));
     if (n == 0) break;
     write_bytes(out, ByteSpan(chunk.data(), n));
     total += n;
   }
+  return total;
+}
+
+/// Decode path for seekable inputs: gompresso::open() sniffs the
+/// container (GMPS, bare GMPZ, or gzip) and a DecodeSession over the
+/// stream does the decode.
+std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
+                                        const DecompressOptions& options) {
+  const std::istream::pos_type base = in.tellg();
+  const std::unique_ptr<serve::DecodeSession> session =
+      open(serve::istream_source(in), open_options(options));
+  const std::uint64_t total = copy_session(*session, out);
   // Leave the stream where sequential consumption would: just past the
   // terminator (the session's random-access reads scattered the cursor).
   in.clear();
@@ -58,18 +66,16 @@ std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
   return total;
 }
 
-/// Sequential gzip decode for non-seekable inputs. The compressed bytes
-/// are slurped (a pipe cannot be rewound, and the chunk driver's retry
-/// protocol would re-emit already-flushed output), but the OUTPUT
-/// streams through a flushing sink that retains only the 32 KiB
-/// reference window — so memory is O(compressed), never
-/// O(uncompressed). Trailer CRC/ISIZE verification happens on the
-/// indexed (seekable) path; here structural damage still fails decode.
-std::uint64_t decompress_gzip_sequential(std::istream& in, ByteSpan prefix,
-                                         std::ostream& out) {
-  // Slurp the rest of the pipe. The byte-exact reader that sniffed the
-  // prefix holds no lookahead (its 4-byte read bypassed the window), so
-  // the stream cursor sits right after the prefix.
+/// gzip on a pipe. A pipe cannot be rewound and the gzip index build
+/// reads the stream more than once, so the compressed bytes are slurped
+/// (O(compressed) memory) and decoded through the same open() session
+/// as a seekable input — with the same member CRC32/ISIZE checks.
+std::uint64_t decompress_gzip_pipe(std::istream& in, ByteSpan prefix,
+                                   std::ostream& out,
+                                   const DecompressOptions& options) {
+  // The byte-exact reader that sniffed the prefix holds no lookahead
+  // (its 4-byte read bypassed the window), so the stream cursor sits
+  // right after the prefix.
   Bytes data(prefix.begin(), prefix.end());
   while (in.good()) {
     const std::size_t old = data.size();
@@ -79,30 +85,9 @@ std::uint64_t decompress_gzip_sequential(std::istream& in, ByteSpan prefix,
     data.resize(old + static_cast<std::size_t>(in.gcount()));
   }
   check_io(in.eof(), "stream: read failed");
-
-  // Strict cold-open header parse first: a malformed leading header is
-  // a FormatError ("this is not gzip"), unlike mid-stream damage.
-  util::SpanReader hdr_reader(ByteSpan(data.data(), data.size()));
-  ingest::parse_member_header(hdr_reader);
-
-  ingest::GrowingByteSink sink(ByteSpan(),
-                               ingest::max_inflated_bytes(data.size()));
-  sink.enable_flush(
-      [](void* ctx, ByteSpan flushed) {
-        write_bytes(*static_cast<std::ostream*>(ctx), flushed);
-      },
-      &out, kStreamCopyChunk);
-  ingest::InflateScratch scratch;
-  ingest::ChunkResult result;
-  const ingest::ChunkStatus status = ingest::inflate_chunk(
-      ByteSpan(data.data(), data.size()), 8 * hdr_reader.offset(),
-      /*stop_bit=*/8 * data.size(), /*stream_end_byte=*/data.size(), sink,
-      scratch, result);
-  check_corrupt(status == ingest::ChunkStatus::kEndOfStream,
-                "gzip: compressed stream truncated");
-  const std::uint64_t total = sink.produced();
-  sink.finish();
-  return total;
+  const std::unique_ptr<serve::DecodeSession> session = open(
+      serve::memory_source(ByteSpan(data.data(), data.size())), open_options(options));
+  return copy_session(*session, out);
 }
 
 /// Decode path for non-seekable inputs (pipes): one segment header at a
@@ -122,14 +107,8 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
 
   // Same thread-plan selection as decompress(): a pipe narrows the
   // *input* to one cursor, not the decode itself.
-  ThreadPool* pool = nullptr;
   std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
+  ThreadPool* pool = resolve_pool(options.num_threads, own_pool);
   const std::size_t batch = pool != nullptr ? pool->parallelism() : 1;
 
   std::vector<core::BlockDecodeContext> ctxs(batch);
@@ -209,8 +188,8 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
       return total;
     }
     case format::ContainerKind::kGzip:
-      return decompress_gzip_sequential(in, ByteSpan(prefix, sizeof prefix),
-                                        out);
+      return decompress_gzip_pipe(in, ByteSpan(prefix, sizeof prefix), out,
+                                  options);
     case format::ContainerKind::kGmps:
       break;  // segment loop below
     case format::ContainerKind::kUnknown:

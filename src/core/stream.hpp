@@ -8,13 +8,16 @@
 // parallelism properties (each segment is a normal block-parallel
 // container).
 //
-// Decompression rides on the serve subsystem: a seekable input gets a
-// DecodeSession (seek index + pipelined block prefetch, see
+// Decompression rides on the serve subsystem: a seekable input is
+// opened with gompresso::open() (core/open.hpp) and copied out through
+// the DecodeSession's sequential cursor (pipelined block prefetch, see
 // serve/decode_session.hpp), so memory stays bounded by the session
-// window instead of the old whole-segment buffering. Non-seekable inputs
-// (pipes) fall back to byte-exact framing with pool-parallel decode of
-// one batch of blocks at a time — O(parallelism x block) memory. Either
-// path accepts a bare GMPZ container as well as a GMPS stream.
+// window. On a non-seekable input (a pipe) GMPS and bare GMPZ use
+// byte-exact framing with pool-parallel decode of one batch of blocks at
+// a time — O(parallelism x block) memory — while gzip is read whole into
+// memory (O(compressed)) and decoded through the same open() session
+// copy loop, so its member CRC32/ISIZE trailers are verified either way.
+// Both paths accept GMPS streams, bare GMPZ containers and RFC 1952 gzip.
 //
 // Stream layout:
 //   u32le  magic "GMPS"

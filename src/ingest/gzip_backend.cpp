@@ -69,9 +69,4 @@ std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index) {
   return std::make_shared<GzipBackend>(std::move(index));
 }
 
-std::shared_ptr<serve::ContainerBackend> make_gzip_backend(
-    serve::ByteSource& source, const GzipIndexOptions& options) {
-  return std::make_shared<GzipBackend>(GzipIndex::build(source, options));
-}
-
 }  // namespace gompresso::ingest

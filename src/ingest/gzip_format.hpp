@@ -2,10 +2,11 @@
 //
 // Two parsers on purpose:
 //   * parse_member_header() — the strict ByteReader path used where a
-//     member starts a stream or is inspected cold (index build, the
-//     pipe fallback, `gomp info`). Validates magic/CM, rejects
-//     reserved FLG bits, captures FNAME, and verifies FHCRC (the CRC16
-//     over the raw header bytes) when present.
+//     member starts a stream or is inspected cold (the index build,
+//     which every gzip open goes through, seekable or piped).
+//     Validates magic/CM, rejects reserved FLG bits, captures FNAME,
+//     and verifies FHCRC (the CRC16 over the raw header bytes) when
+//     present.
 //   * skip_member_header() — the in-stream BitReader path the chunk
 //     decoders use at member transitions inside DEFLATE data. Same
 //     structural validation, but it only skips the variable fields

@@ -246,23 +246,21 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
       events = std::move(run.members);
     }
 
-    if (options.verify_members) {
-      std::size_t prev = 0;
-      for (const MemberEvent& ev : events) {
-        const std::size_t at = static_cast<std::size_t>(ev.out_offset);
-        st.member_crc = crc32(ByteSpan(out.data() + prev, at - prev), st.member_crc);
-        st.member_len += at - prev;
-        check_corrupt(st.member_crc == ev.crc32, "gzip: member CRC32 mismatch");
-        check_corrupt(static_cast<std::uint32_t>(st.member_len) == ev.isize,
-                      "gzip: member ISIZE mismatch");
-        st.member_crc = 0;
-        st.member_len = 0;
-        prev = at;
-      }
-      st.member_crc =
-          crc32(ByteSpan(out.data() + prev, out.size() - prev), st.member_crc);
-      st.member_len += out.size() - prev;
+    std::size_t prev = 0;
+    for (const MemberEvent& ev : events) {
+      const std::size_t at = static_cast<std::size_t>(ev.out_offset);
+      st.member_crc = crc32(ByteSpan(out.data() + prev, at - prev), st.member_crc);
+      st.member_len += at - prev;
+      check_corrupt(st.member_crc == ev.crc32, "gzip: member CRC32 mismatch");
+      check_corrupt(static_cast<std::uint32_t>(st.member_len) == ev.isize,
+                    "gzip: member ISIZE mismatch");
+      st.member_crc = 0;
+      st.member_len = 0;
+      prev = at;
     }
+    st.member_crc =
+        crc32(ByteSpan(out.data() + prev, out.size() - prev), st.member_crc);
+    st.member_len += out.size() - prev;
     idx.num_members_ += events.size();
 
     if (!out.empty()) {

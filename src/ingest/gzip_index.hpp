@@ -54,8 +54,6 @@ struct GzipIndexOptions {
   /// Compressed bytes per chunk (grid pitch). Larger chunks amortize
   /// the boundary scan; smaller chunks parallelize and seek better.
   std::uint64_t chunk_size = 512 * 1024;
-  /// Verify each member's CRC32 + ISIZE trailer during the build.
-  bool verify_members = true;
   /// Pool for the speculative chunk decodes; nullptr (or a pool with
   /// parallelism() == 1) selects the pure sequential build, which never
   /// speculates and therefore never pays a marker pass.

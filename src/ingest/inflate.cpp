@@ -321,31 +321,11 @@ void GrowingByteSink::copy(std::uint32_t length, std::uint32_t distance) {
     buf_.insert(buf_.end(), wsrc, wsrc + n);
     remaining -= n;
   }
-  // In-buffer overlap copy. The buffer always retains at least the last
-  // kWindowSize >= distance bytes (maybe_flush keeps that tail), so the
-  // source index cannot underrun flushed data.
+  // In-buffer overlap copy: the window part is exhausted, so the source
+  // lies inside this member's output, all of which the buffer keeps.
   for (std::uint32_t k = 0; k < remaining; ++k) {
     buf_.push_back(buf_[buf_.size() - distance]);
   }
-  maybe_flush();
-}
-
-void GrowingByteSink::maybe_flush() {
-  if (flush_ == nullptr || buf_.size() < flush_threshold_ ||
-      buf_.size() <= kWindowSize) {
-    return;
-  }
-  const std::size_t n = buf_.size() - kWindowSize;
-  flush_(flush_ctx_, ByteSpan(buf_.data(), n));
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n));
-  flushed_ += n;
-}
-
-void GrowingByteSink::finish() {
-  if (flush_ == nullptr || buf_.empty()) return;
-  flush_(flush_ctx_, ByteSpan(buf_.data(), buf_.size()));
-  flushed_ += buf_.size();
-  buf_.clear();
 }
 
 void MarkerSink::copy(std::uint32_t length, std::uint32_t distance) {

@@ -138,37 +138,22 @@ class ByteSink {
   std::size_t member_base_ = 0;
 };
 
-/// Resolved-byte sink with growing storage (index build, sequential
-/// fallback, pipe streaming). `flush` (optional) is invoked with
-/// resolved bytes once the buffer passes `flush_threshold`; the last
-/// kWindowSize bytes are always retained so references stay in reach.
+/// Resolved-byte sink with growing storage (the index build's exact
+/// decode of a chunk whose start window is known). Keeps the whole
+/// output, so in-chunk references are always in reach.
 class GrowingByteSink {
  public:
-  using FlushFn = void (*)(void* ctx, ByteSpan chunk);
-
   GrowingByteSink(ByteSpan start_window, std::uint64_t max_output)
       : window_(start_window), max_output_(max_output) {}
 
-  /// Enables streaming: resolved bytes beyond the retained window are
-  /// handed to `flush(ctx, span)` once the buffer exceeds `threshold`.
-  void enable_flush(FlushFn flush, void* ctx, std::size_t threshold) {
-    flush_ = flush;
-    flush_ctx_ = ctx;
-    flush_threshold_ = threshold;
-  }
+  std::uint64_t produced() const { return buf_.size(); }
 
-  std::uint64_t produced() const { return flushed_ + buf_.size(); }
-
-  /// Buffered (unflushed) bytes; the whole output when flush is off.
+  /// Everything produced so far.
   Bytes& bytes() { return buf_; }
-
-  /// Flushes everything (end of stream; references are done).
-  void finish();
 
   void push(std::uint8_t b) {
     guard_growth(1);
     buf_.push_back(b);
-    maybe_flush();
   }
 
   void copy(std::uint32_t length, std::uint32_t distance);
@@ -183,16 +168,11 @@ class GrowingByteSink {
     check_corrupt(produced() + n <= max_output_,
                   "gzip: chunk output exceeds the deflate expansion bound");
   }
-  void maybe_flush();
 
   Bytes buf_;
-  std::uint64_t flushed_ = 0;
   ByteSpan window_;
   std::uint64_t member_base_ = 0;
   std::uint64_t max_output_ = 0;
-  FlushFn flush_ = nullptr;
-  void* flush_ctx_ = nullptr;
-  std::size_t flush_threshold_ = 0;
 };
 
 /// Marker-token sink for chunks whose window is unknown: literals and

@@ -49,7 +49,6 @@
 #include "net/http.hpp"
 #include "serve/backend.hpp"
 #include "serve/decode_session.hpp"
-#include "serve/seek_index.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/socket.hpp"
@@ -92,7 +91,8 @@ struct ServeOptions {
   /// X-Gomp-Degraded) instead of failing them with 502.
   bool degraded = false;
   /// Per-connection DecodeSession tuning. num_threads is ignored — all
-  /// sessions share the server's decode pool.
+  /// sessions share the server's decode pool. Decode knobs (checksums,
+  /// strategy) belong to the backend the server is given.
   serve::SessionOptions session;
   /// Workers on the shared decode pool (0 = hardware concurrency).
   std::size_t decode_threads = 0;
@@ -124,12 +124,10 @@ class Server {
   /// backend (the robust path: build the geometry from a trusted
   /// source, then even a fault-injected data plane cannot corrupt it).
   /// The backend is shared by every per-connection session — GMPZ/GMPS
-  /// and gzip backends alike.
+  /// and gzip backends alike. A native SeekIndex in hand becomes one
+  /// through serve::make_gmpz_backend(index, decode_options); decode
+  /// knobs live there, not on ServeOptions::session.
   Server(SourceFactory factory, std::shared_ptr<serve::ContainerBackend> backend,
-         ServeOptions options = {});
-  /// Native-container compatibility form: wraps the SeekIndex in a
-  /// GMPZ backend.
-  Server(SourceFactory factory, serve::SeekIndex index,
          ServeOptions options = {});
   /// Convenience: sniffs one factory() source and builds the matching
   /// backend (gompresso::open_backend), so `gomp serve any.gz` works.

@@ -54,16 +54,6 @@ void bump(std::atomic<std::uint64_t>& local, const obs::Counter& global,
   global.add(n);
 }
 
-/// Decode knobs the deprecated native-container constructors forward
-/// from their SessionOptions into the backend they build.
-BackendDecodeOptions backend_decode_options(const SessionOptions& options) {
-  BackendDecodeOptions d;
-  d.verify_checksums = options.verify_checksums;
-  d.auto_strategy = options.auto_strategy;
-  d.strategy = options.strategy;
-  return d;
-}
-
 }  // namespace
 
 std::uint64_t RetryPolicy::jittered_backoff_us(std::size_t attempt,
@@ -94,41 +84,10 @@ DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source,
   check(backend_ != nullptr, "serve: null container backend");
   check_format(backend_->source_size() == source_->size(),
                "serve: seek index does not match the source (rebuild it)");
-  init();
-}
-
-DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source,
-                             SessionOptions options)
-    : source_(std::move(source)),
-      backend_(make_gmpz_backend(SeekIndex::build(*source_),
-                                 backend_decode_options(options))),
-      options_(options) {
-  init();
-}
-
-DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source, SeekIndex index,
-                             SessionOptions options)
-    : source_(std::move(source)),
-      backend_(make_gmpz_backend(std::move(index),
-                                 backend_decode_options(options))),
-      options_(options) {
-  check_format(backend_->source_size() == source_->size(),
-               "serve: seek index does not match the source (rebuild it)");
-  init();
-}
-
-void DecodeSession::init() {
   if (options_.buffer_pool != nullptr) buffers_ = options_.buffer_pool;
-  if (options_.pool != nullptr) {
-    // Shared pool (the serve daemon): concurrency and memory are bounded
-    // per pool, not per session.
-    pool_ = options_.pool;
-  } else if (options_.num_threads == 0) {
-    pool_ = &default_pool();
-  } else if (options_.num_threads > 1) {
-    own_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    pool_ = own_pool_.get();
-  }
+  // A shared pool (the serve daemon) bounds concurrency and memory per
+  // pool, not per session; otherwise num_threads picks the plan.
+  pool_ = resolve_pool(options_.num_threads, own_pool_, options_.pool);
   async_ = pool_ != nullptr && pool_->async();
   window_ = async_ ? std::max<std::size_t>(1, options_.max_inflight_blocks) : 1;
   // A window beyond the block count buys nothing and would drag the
@@ -137,9 +96,6 @@ void DecodeSession::init() {
   // The cache must hold at least the prefetch window, or the pipeline
   // would evict blocks it just decoded before the reader reaches them.
   cache_capacity_ = std::max(options_.cache_blocks, window_);
-  // Construction is single-threaded; the lock satisfies the analysis
-  // (init() runs outside the constructor-body exemption).
-  util::MutexLock lock(mutex_);
   health_.assign(backend_->num_blocks(), BlockHealth::kUnknown);
 }
 

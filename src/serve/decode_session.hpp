@@ -8,6 +8,13 @@
 //   peak pooled bytes <= (max_inflight_blocks + cache capacity + 1)
 //                        x (block_size + max compressed block size)
 //
+// Sessions are built one way: gompresso::open() (core/open.hpp) sniffs
+// the source and hands its backend to the single constructor below;
+// callers holding a pre-built index pass serve::make_gmpz_backend()
+// themselves. SessionOptions carries only scheduling and resilience
+// knobs — checksum and strategy choices belong to the backend
+// (BackendDecodeOptions, set through OpenOptions::decode).
+//
 // Internally a ContainerBackend (serve/backend.hpp) maps uncompressed
 // offsets to compressed block extents and decodes one block at a time;
 // a pipelined prefetcher keeps a sliding window of max_inflight_blocks
@@ -37,7 +44,6 @@
 
 #include "serve/backend.hpp"
 #include "serve/byte_source.hpp"
-#include "serve/seek_index.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -98,11 +104,6 @@ struct SessionOptions {
   /// Worker threads for the prefetch pipeline; 0 = shared default pool,
   /// 1 = decode inline on the calling thread.
   std::size_t num_threads = 0;
-  bool verify_checksums = true;
-  /// Strategy selection, as in DecompressOptions (auto picks DE for
-  /// DE-compressed segments).
-  bool auto_strategy = true;
-  Strategy strategy = Strategy::kMultiRound;
   /// Transient-failure retry discipline for source reads + block decode.
   RetryPolicy retry;
   /// Test seam: replaces the real backoff sleep. Called with the backoff
@@ -166,25 +167,11 @@ struct SessionStats {
 
 class DecodeSession {
  public:
-  /// Opens `source` through `backend` — the one constructor every open
-  /// path funnels into (gompresso::open() picks the backend by sniffing
-  /// the source). Throws FormatError if the backend's block table was
-  /// built from a source of a different size.
+  /// Opens `source` through `backend` (see the file comment for where
+  /// backends come from). Throws FormatError if the backend's block
+  /// table was built from a source of a different size.
   DecodeSession(std::unique_ptr<ByteSource> source,
                 std::shared_ptr<ContainerBackend> backend,
-                SessionOptions options = {});
-
-  /// Deprecated shim (native containers only): scans `source` and
-  /// builds a GMPZ backend from the session options. Prefer
-  /// gompresso::open(), which also handles foreign formats and
-  /// sidecars; kept so existing callers compile unchanged.
-  explicit DecodeSession(std::unique_ptr<ByteSource> source,
-                         SessionOptions options = {});
-
-  /// Deprecated shim (native containers only): wraps a pre-built
-  /// SeekIndex (e.g. SeekIndex::load()) in a GMPZ backend. Prefer
-  /// gompresso::open() with OpenOptions::sidecar_path.
-  DecodeSession(std::unique_ptr<ByteSource> source, SeekIndex index,
                 SessionOptions options = {});
 
   /// Blocks until every in-flight prefetch task has finished.
@@ -237,17 +224,9 @@ class DecodeSession {
   BackendBlock block_extent(std::size_t b) const { return backend_->block(b); }
   std::uint64_t compressed_end() const { return backend_->compressed_end(); }
 
+  /// The backend behind the session; backend().seek_index() is the
+  /// native segment table for GMPZ/GMPS sources (nullptr otherwise).
   const ContainerBackend& backend() const { return *backend_; }
-
-  /// Native SeekIndex accessor — valid only for GMPZ/GMPS-backed
-  /// sessions (throws for foreign-format backends). Prefer the
-  /// backend-neutral accessors above; kept for sidecar workflows and
-  /// existing callers.
-  const SeekIndex& index() const {
-    const SeekIndex* idx = backend_->seek_index();
-    check(idx != nullptr, "serve: session backend has no native seek index");
-    return *idx;
-  }
 
   /// Coherent snapshot of the session's counters. Each field is an
   /// atomic relaxed load — no lock, so readers and decode tasks are
@@ -303,7 +282,6 @@ class DecodeSession {
     std::atomic<std::uint64_t> bytes_zero_filled{0};
   };
 
-  void init();
   void backoff_sleep(std::uint64_t us);
   std::size_t read_impl(std::uint64_t offset, MutableByteSpan dst)
       EXCLUDES(mutex_);

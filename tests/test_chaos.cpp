@@ -55,19 +55,19 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
       auto faulty = std::make_unique<serve::FaultInjectingByteSource>(
           serve::memory_source(ByteSpan(f.file.data(), f.file.size())));
       serve::FaultInjectingByteSource* handle = faulty.get();
-      serve::SessionOptions opt;
-      opt.num_threads = 4;
-      opt.max_inflight_blocks = 4;
-      opt.cache_blocks = 4;  // small cache forces re-decodes (fresh faults)
-      opt.sleep_hook = [](std::uint64_t) {};  // backoff without wall time
-      DecodeSession session(std::move(faulty), opt);
+      OpenOptions opt;
+      opt.session.num_threads = 4;
+      opt.session.max_inflight_blocks = 4;
+      opt.session.cache_blocks = 4;  // small cache forces re-decodes (fresh faults)
+      opt.session.sleep_hook = [](std::uint64_t) {};  // backoff without wall time
+      const auto session = open(std::move(faulty), opt);
 
       // Armed after the scan; burst 2 < max_attempts 3 makes absorption
       // a certainty, not a probability.
       handle->set_random_transients(/*rate=*/0.3, /*burst=*/2,
                                     /*seed=*/1000u + static_cast<unsigned>(trial));
 
-      const std::uint64_t total = session.size();
+      const std::uint64_t total = session->size();
       Bytes sequential(total);
       std::atomic<bool> failed{false};
       std::vector<std::thread> readers;
@@ -76,7 +76,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
         try {
           std::size_t done = 0, n;
           Bytes chunk(7000);
-          while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+          while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
             // read() serializes the cursor, so ranges are consecutive.
             std::copy(chunk.begin(), chunk.begin() + static_cast<long>(n),
                       sequential.begin() + static_cast<long>(done));
@@ -96,7 +96,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
             Bytes buf(4096);
             for (int i = 0; i < 24; ++i) {
               const std::uint64_t off = rng.next_below(total);
-              const std::size_t n = session.read_at(
+              const std::size_t n = session->read_at(
                   off, MutableByteSpan(buf.data(), buf.size()));
               if (!std::equal(buf.begin(), buf.begin() + static_cast<long>(n),
                               f.input.begin() + static_cast<long>(off))) {
@@ -113,7 +113,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
       ASSERT_FALSE(failed) << "codec " << static_cast<int>(codec) << " trial "
                            << trial;
       ASSERT_EQ(sequential, f.input);
-      const serve::SessionStats st = session.stats();
+      const serve::SessionStats st = session->stats();
       EXPECT_EQ(st.permanent_errors, 0u);
       EXPECT_EQ(st.bytes_zero_filled, 0u);
       // The plan did fire (rate 0.3 over dozens of block reads) and was
@@ -161,19 +161,21 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
         }
       }
 
-      serve::SessionOptions opt;
-      opt.num_threads = 2;
-      opt.sleep_hook = [](std::uint64_t) {};
-      DecodeSession session(
+      OpenOptions opt;
+      opt.session.num_threads = 2;
+      opt.session.sleep_hook = [](std::uint64_t) {};
+      // The scan reads only container headers, which the plan (payload
+      // flips and zero-fills) leaves intact.
+      const auto session = open(
           std::make_unique<serve::FaultInjectingByteSource>(
               serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
               std::move(plan)),
-          serve::SeekIndex(index), opt);
+          opt);
 
       // Zero-filling compressed bytes can, rarely, reproduce a block
       // that still decodes (e.g. zeroing bytes that were already zero).
       // Such a block is simply not damaged; drop it from the expectation.
-      const serve::DamageReport scrub = session.verify_archive();
+      const serve::DamageReport scrub = session->verify_archive();
       std::set<std::size_t> damaged;
       for (const serve::DamagedExtent& e : scrub.extents) damaged.insert(e.block);
       for (const std::size_t b : damaged) {
@@ -182,14 +184,14 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
       }
       for (std::size_t b = 0; b < index.num_blocks(); ++b) {
         const bool is_damaged = damaged.count(b) > 0;
-        EXPECT_EQ(session.block_health(b) == serve::BlockHealth::kDamaged,
+        EXPECT_EQ(session->block_health(b) == serve::BlockHealth::kDamaged,
                   is_damaged)
             << b;
       }
 
       // Best-effort recovery from concurrent readers: every byte outside
       // a damaged block is exact, every byte inside reads back zero.
-      const std::uint64_t total = session.size();
+      const std::uint64_t total = session->size();
       Bytes got(total, std::uint8_t{0xEE});
       std::atomic<bool> failed{false};
       std::vector<std::thread> readers;
@@ -202,7 +204,7 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
             const std::size_t len =
                 static_cast<std::size_t>(std::min(shard, total - begin));
             serve::DamageReport report;
-            if (session.read_at_damage_tolerant(
+            if (session->read_at_damage_tolerant(
                     begin, MutableByteSpan(got.data() + begin, len), &report) !=
                 len) {
               failed = true;
@@ -229,7 +231,7 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
               << "clean block " << b << " not recovered exactly";
         }
       }
-      EXPECT_EQ(session.stats().retries, 0u);  // corruption is never retried
+      EXPECT_EQ(session->stats().retries, 0u);  // corruption is never retried
     }
   }
 }
@@ -290,7 +292,7 @@ TEST(Chaos, ServeSoakKeepsTaxonomyAndBytesUnderFaultsAndOverload) {
                   serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
                   serve::FaultPlan::parse(spec)));
         },
-        index, opt);
+        serve::make_gmpz_backend(index), opt);
     server.start();
 
     const std::uint64_t total = f.input.size();

@@ -18,8 +18,8 @@
 //     (counter-asserted) and a wrong-flavor sidecar is rejected;
 //   - parallel == sequential: the speculative wave build and the pure
 //     sequential build produce identical bytes;
-//   - the pipe fallback: gzip on a non-seekable stream decodes through
-//     decompress_stream's sequential path.
+//   - gzip on a pipe: a non-seekable stream decodes through the same
+//     open() session as a seekable one, member trailers verified.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -510,22 +510,27 @@ TEST(IngestGzip, TransientFaultsAreAbsorbed) {
   }
 }
 
-// ------------------------------------------------------ pipe fallback
+// ------------------------------------------------------- pipe input
 
-TEST(IngestGzip, PipeFallbackDecodesSequentially) {
+/// decompress_stream() over `file` fed through a non-seekable stream.
+std::uint64_t decompress_pipe(ByteSpan file, std::ostringstream& out) {
+  SequentialBuf buf(std::string(reinterpret_cast<const char*>(file.data()),
+                                file.size()));
+  std::istream in(&buf);
+  EXPECT_EQ(in.tellg(), std::istream::pos_type(-1));  // really not seekable
+  in.clear();
+  return decompress_stream(in, out);
+}
+
+TEST(IngestGzip, PipeInputDecodesMultiMemberStreams) {
   const Bytes a = datagen::wikipedia(150000);
   const Bytes b = datagen::random_bytes(30000, 11);
   Bytes file = gzip_store_member(ByteSpan(a.data(), a.size()));
   const Bytes second = gzip_store_member(ByteSpan(b.data(), b.size()));
   file.insert(file.end(), second.begin(), second.end());
 
-  SequentialBuf buf(std::string(reinterpret_cast<const char*>(file.data()),
-                                file.size()));
-  std::istream in(&buf);
-  ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));  // really not seekable
-  in.clear();
   std::ostringstream out;
-  const std::uint64_t n = decompress_stream(in, out);
+  const std::uint64_t n = decompress_pipe(ByteSpan(file.data(), file.size()), out);
   ASSERT_EQ(n, a.size() + b.size());
   const std::string& s = out.str();
   EXPECT_TRUE(std::equal(a.begin(), a.end(),
@@ -533,6 +538,30 @@ TEST(IngestGzip, PipeFallbackDecodesSequentially) {
   EXPECT_TRUE(std::equal(
       b.begin(), b.end(),
       reinterpret_cast<const std::uint8_t*>(s.data()) + a.size()));
+}
+
+TEST(IngestGzip, PipeInputVerifiesMemberTrailers) {
+  // A pipe gets the same member CRC32/ISIZE check as a seekable input:
+  // a lying trailer on either member of a two-member stream is corruption,
+  // never silently accepted output.
+  const Bytes a = datagen::wikipedia(70000);
+  const Bytes b = datagen::wikipedia(3000);
+  Bytes good = gzip_store_member(ByteSpan(a.data(), a.size()));
+  const std::size_t first_end = good.size();
+  const Bytes second = gzip_store_member(ByteSpan(b.data(), b.size()));
+  good.insert(good.end(), second.begin(), second.end());
+  // Trailer = CRC32 then ISIZE, 4 bytes each, at the end of a member.
+  for (const std::size_t member_end : {first_end, good.size()}) {
+    for (const std::size_t field : {std::size_t{8}, std::size_t{4}}) {
+      Bytes bad = good;
+      bad[member_end - field] ^= 0x01;
+      std::ostringstream out;
+      EXPECT_THROW(decompress_pipe(ByteSpan(bad.data(), bad.size()), out),
+                   CorruptionError)
+          << (field == 8 ? "CRC32" : "ISIZE") << " of the member ending at "
+          << member_end;
+    }
+  }
 }
 
 TEST(IngestGzip, SeekableStreamUsesTheSessionPath) {

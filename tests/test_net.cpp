@@ -379,7 +379,7 @@ TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   const std::uint64_t block_hi = victim.uncomp_offset + victim.uncomp_size - 1;
 
   {  // Default: faithful service only — damaged range is a 502.
-    net::Server server(faulty_factory, index, f.options());
+    net::Server server(faulty_factory, serve::make_gmpz_backend(index), f.options());
     server.start();
     net::HttpClient client(server.port());
     net::HttpResponse resp;
@@ -399,7 +399,7 @@ TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   {  // Degraded mode: zero-filled 206 with the damage advertised.
     net::ServeOptions opt = f.options();
     opt.degraded = true;
-    net::Server server(faulty_factory, index, opt);
+    net::Server server(faulty_factory, serve::make_gmpz_backend(index), opt);
     server.start();
     net::HttpClient client(server.port());
     net::HttpResponse resp;

@@ -33,8 +33,10 @@ struct Fixture {
     file = compress(input, opt);
   }
 
-  DecodeSession session(serve::SessionOptions opt = {}) const {
-    return DecodeSession(serve::memory_source(file), opt);
+  std::unique_ptr<DecodeSession> session(serve::SessionOptions opt = {}) const {
+    OpenOptions oopt;
+    oopt.session = opt;
+    return open(serve::memory_source(file), oopt);
   }
 };
 
@@ -98,14 +100,14 @@ TEST(SeekIndex, SidecarFileRoundTripAndMismatchDetected) {
   const serve::SeekIndex loaded = serve::SeekIndex::load(path);
   EXPECT_EQ(loaded.num_blocks(), index.num_blocks());
 
-  // Opening a *different* source with this index must be rejected.
+  // Opening a *different* source with this sidecar must be rejected.
+  OpenOptions with_sidecar;
+  with_sidecar.sidecar_path = path;
   const Fixture other(100000);
-  EXPECT_THROW(DecodeSession(serve::memory_source(other.file),
-                             serve::SeekIndex::load(path)),
-               Error);
+  EXPECT_THROW(open(serve::memory_source(other.file), with_sidecar), FormatError);
   // The matching source reopens without a scan and decodes correctly.
-  DecodeSession session(serve::memory_source(f.file), serve::SeekIndex::load(path));
-  const Bytes all = session.read_bytes_at(0, f.input.size());
+  const auto session = open(serve::memory_source(f.file), with_sidecar);
+  const Bytes all = session->read_bytes_at(0, f.input.size());
   EXPECT_EQ(all, f.input);
   std::remove(path.c_str());
 }
@@ -120,15 +122,15 @@ TEST(SeekIndex, RejectsGarbage) {
 TEST(DecodeSession, SequentialReadMatchesBatchDecode) {
   const Fixture f;
   auto session = f.session();
-  EXPECT_EQ(session.size(), f.input.size());
+  EXPECT_EQ(session->size(), f.input.size());
   Bytes out;
   Bytes chunk(10000);  // deliberately not a divisor of the block size
   std::size_t n;
-  while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+  while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
     out.insert(out.end(), chunk.begin(), chunk.begin() + static_cast<long>(n));
   }
   EXPECT_EQ(out, decompress_bytes(f.file));
-  EXPECT_EQ(session.tell(), f.input.size());
+  EXPECT_EQ(session->tell(), f.input.size());
 }
 
 TEST(DecodeSession, SeekThenReadEquivalence) {
@@ -138,13 +140,13 @@ TEST(DecodeSession, SeekThenReadEquivalence) {
   for (int i = 0; i < 50; ++i) {
     const std::uint64_t off = rng.next_below(static_cast<std::uint32_t>(f.input.size()));
     const std::size_t len = 1 + rng.next_below(5000);
-    session.seek(off);
+    session->seek(off);
     Bytes got(len);
-    const std::size_t n = session.read(MutableByteSpan(got.data(), got.size()));
+    const std::size_t n = session->read(MutableByteSpan(got.data(), got.size()));
     const std::size_t expect_n =
         std::min<std::size_t>(len, f.input.size() - static_cast<std::size_t>(off));
     ASSERT_EQ(n, expect_n) << "offset " << off;
-    EXPECT_EQ(session.tell(), off + n);
+    EXPECT_EQ(session->tell(), off + n);
     EXPECT_TRUE(std::equal(got.begin(), got.begin() + static_cast<long>(n),
                            f.input.begin() + static_cast<long>(off)))
         << "offset " << off << " len " << len;
@@ -155,11 +157,11 @@ TEST(DecodeSession, ReadsStraddlingBlockBoundaries) {
   const Fixture f(200000, 16 * 1024);
   auto session = f.session();
   // Every boundary, +/- a few bytes around it.
-  for (std::size_t b = 1; b < session.index().num_blocks(); ++b) {
-    const std::uint64_t boundary = session.index().block(b).uncomp_offset;
+  for (std::size_t b = 1; b < session->num_blocks(); ++b) {
+    const std::uint64_t boundary = session->block_extent(b).uncomp_offset;
     const std::uint64_t off = boundary - 3;
     Bytes got(7);
-    ASSERT_EQ(session.read_at(off, MutableByteSpan(got.data(), got.size())),
+    ASSERT_EQ(session->read_at(off, MutableByteSpan(got.data(), got.size())),
               std::min<std::size_t>(7, f.input.size() - off));
     EXPECT_TRUE(std::equal(got.begin(), got.end(),
                            f.input.begin() + static_cast<long>(off)));
@@ -167,7 +169,7 @@ TEST(DecodeSession, ReadsStraddlingBlockBoundaries) {
   // One read across many blocks at once.
   const std::size_t len = 5 * 16 * 1024 + 123;
   Bytes got(len);
-  ASSERT_EQ(session.read_at(1000, MutableByteSpan(got.data(), got.size())), len);
+  ASSERT_EQ(session->read_at(1000, MutableByteSpan(got.data(), got.size())), len);
   EXPECT_TRUE(std::equal(got.begin(), got.end(), f.input.begin() + 1000));
 }
 
@@ -175,27 +177,27 @@ TEST(DecodeSession, ZeroLengthAndPastEofReads) {
   const Fixture f(100000);
   auto session = f.session();
   Bytes empty;
-  EXPECT_EQ(session.read(MutableByteSpan(empty.data(), 0)), 0u);
-  EXPECT_EQ(session.read_at(50, MutableByteSpan(empty.data(), 0)), 0u);
+  EXPECT_EQ(session->read(MutableByteSpan(empty.data(), 0)), 0u);
+  EXPECT_EQ(session->read_at(50, MutableByteSpan(empty.data(), 0)), 0u);
 
   Bytes buf(100);
   // At EOF.
-  session.seek(f.input.size());
-  EXPECT_EQ(session.read(MutableByteSpan(buf.data(), buf.size())), 0u);
+  session->seek(f.input.size());
+  EXPECT_EQ(session->read(MutableByteSpan(buf.data(), buf.size())), 0u);
   // Far past EOF: seek is allowed, reads return 0.
-  session.seek(f.input.size() + 123456);
-  EXPECT_EQ(session.tell(), f.input.size() + 123456);
-  EXPECT_EQ(session.read(MutableByteSpan(buf.data(), buf.size())), 0u);
-  EXPECT_EQ(session.read_at(f.input.size(), MutableByteSpan(buf.data(), buf.size())),
+  session->seek(f.input.size() + 123456);
+  EXPECT_EQ(session->tell(), f.input.size() + 123456);
+  EXPECT_EQ(session->read(MutableByteSpan(buf.data(), buf.size())), 0u);
+  EXPECT_EQ(session->read_at(f.input.size(), MutableByteSpan(buf.data(), buf.size())),
             0u);
   // A read ending past EOF is shortened, not failed.
   const std::uint64_t off = f.input.size() - 10;
-  EXPECT_EQ(session.read_at(off, MutableByteSpan(buf.data(), buf.size())), 10u);
-  EXPECT_EQ(session.read_bytes_at(off, 100).size(), 10u);
+  EXPECT_EQ(session->read_at(off, MutableByteSpan(buf.data(), buf.size())), 10u);
+  EXPECT_EQ(session->read_bytes_at(off, 100).size(), 10u);
   // An absurd requested length must clamp before allocating (an
   // untrusted range request is a short read, not a bad_alloc).
-  EXPECT_EQ(session.read_bytes_at(off, SIZE_MAX).size(), 10u);
-  EXPECT_EQ(session.read_bytes_at(f.input.size() + 1, SIZE_MAX).size(), 0u);
+  EXPECT_EQ(session->read_bytes_at(off, SIZE_MAX).size(), 10u);
+  EXPECT_EQ(session->read_bytes_at(f.input.size() + 1, SIZE_MAX).size(), 0u);
 }
 
 TEST(DecodeSession, RandomizedReadAtFuzzAgainstBatchSlices) {
@@ -209,7 +211,7 @@ TEST(DecodeSession, RandomizedReadAtFuzzAgainstBatchSlices) {
     for (int i = 0; i < 120; ++i) {
       const std::uint64_t off = rng.next_below(static_cast<std::uint32_t>(batch.size() + 50));
       const std::size_t len = rng.next_below(60000);
-      const Bytes got = session.read_bytes_at(off, len);
+      const Bytes got = session->read_bytes_at(off, len);
       const std::size_t expect_n =
           off >= batch.size()
               ? 0
@@ -220,7 +222,7 @@ TEST(DecodeSession, RandomizedReadAtFuzzAgainstBatchSlices) {
                              batch.begin() + static_cast<long>(off)))
           << "codec " << static_cast<int>(codec) << " offset " << off;
     }
-    const serve::SessionStats st = session.stats();
+    const serve::SessionStats st = session->stats();
     EXPECT_GT(st.evictions, 0u);  // the small cache really was exercised
     EXPECT_GT(st.cache_hits, 0u);
   }
@@ -230,12 +232,12 @@ TEST(DecodeSession, LruMakesRereadsCacheHits) {
   const Fixture f;
   auto session = f.session();
   Bytes buf(100);
-  session.read_at(1000, MutableByteSpan(buf.data(), buf.size()));
-  const std::uint64_t decoded_once = session.stats().blocks_decoded;
+  session->read_at(1000, MutableByteSpan(buf.data(), buf.size()));
+  const std::uint64_t decoded_once = session->stats().blocks_decoded;
   for (int i = 0; i < 10; ++i) {
-    session.read_at(1000 + i, MutableByteSpan(buf.data(), buf.size()));
+    session->read_at(1000 + i, MutableByteSpan(buf.data(), buf.size()));
   }
-  const serve::SessionStats st = session.stats();
+  const serve::SessionStats st = session->stats();
   EXPECT_EQ(st.blocks_decoded, decoded_once);  // no re-decode
   EXPECT_GE(st.cache_hits, 10u);
 }
@@ -249,16 +251,16 @@ TEST(DecodeSession, MemoryStaysBoundedBySmallCache) {
   opt.max_inflight_blocks = 2;
   opt.cache_blocks = 2;
   auto session = f.session(opt);
-  ASSERT_GE(session.index().num_blocks(), 25u);
+  ASSERT_GE(session->num_blocks(), 25u);
   Bytes all(f.input.size());
-  session.read(MutableByteSpan(all.data(), all.size()));
+  session->read(MutableByteSpan(all.data(), all.size()));
   EXPECT_TRUE(std::equal(all.begin(), all.end(), f.input.begin()));
-  const util::BufferPool::Stats pool = session.stats().pool;
+  const util::BufferPool::Stats pool = session->stats().pool;
   // Each in-flight decode holds a compressed staging buffer and an
   // output buffer (2 x window, +1 slack for a demanded block), the LRU
   // holds cache_blocks more — far below the 25 blocks of the file.
   EXPECT_LE(pool.peak_outstanding, 2u * (2u + 1u) + 2u);
-  EXPECT_GT(session.stats().evictions, 0u);
+  EXPECT_GT(session->stats().evictions, 0u);
 }
 
 TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
@@ -270,12 +272,12 @@ TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
   Bytes out;
   Bytes chunk(30000);
   std::size_t n;
-  while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+  while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
     out.insert(out.end(), chunk.begin(), chunk.begin() + static_cast<long>(n));
   }
   EXPECT_EQ(out, f.input);
-  const serve::SessionStats st = session.stats();
-  EXPECT_EQ(st.blocks_decoded, session.index().num_blocks());
+  const serve::SessionStats st = session->stats();
+  EXPECT_EQ(st.blocks_decoded, session->num_blocks());
   // The first read demands block 0 (nothing is prefetched yet) — a
   // demand decode even though a pool worker runs it; from then on the
   // pipeline stays ahead and the rest are lookahead decodes.
@@ -296,7 +298,7 @@ TEST(DecodeSession, ConcurrentRandomReadsFromManyThreads) {
     Rng rng(static_cast<std::uint64_t>(i) + 100);
     const std::uint64_t off = rng.next_below(static_cast<std::uint32_t>(f.input.size()));
     const std::size_t len = 1 + rng.next_below(40000);
-    const Bytes got = session.read_bytes_at(off, len);
+    const Bytes got = session->read_bytes_at(off, len);
     const std::size_t expect_n =
         std::min<std::size_t>(len, f.input.size() - static_cast<std::size_t>(off));
     if (got.size() != expect_n ||
@@ -316,7 +318,7 @@ TEST(DecodeSession, AbsurdInflightWindowStillReads) {
   opt.num_threads = 2;
   auto session = f.session(opt);
   Bytes got(5000);
-  ASSERT_EQ(session.read_at(40000, MutableByteSpan(got.data(), got.size())), 5000u);
+  ASSERT_EQ(session->read_at(40000, MutableByteSpan(got.data(), got.size())), 5000u);
   EXPECT_TRUE(std::equal(got.begin(), got.end(), f.input.begin() + 40000));
 }
 
@@ -330,14 +332,14 @@ TEST(DecodeSession, ConcurrentSequentialReadsDeliverDisjointRanges) {
   readers.parallel_for(4, [&](std::size_t) {
     Bytes chunk(7001);  // awkward size, forces many interleavings
     std::size_t n;
-    while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+    while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
       delivered += n;
     }
   });
   // Duplicated delivery would push the total past the file size; a lost
   // cursor advance below it.
   EXPECT_EQ(delivered.load(), f.input.size());
-  EXPECT_EQ(session.tell(), f.input.size());
+  EXPECT_EQ(session->tell(), f.input.size());
 }
 
 TEST(SeekIndex, RejectsAdversarialSidecarOffsets) {
@@ -427,19 +429,21 @@ TEST(DecodeSession, GmpsStreamSessionsSpanSegments) {
   const std::string blob = compressed.str();
   const Bytes file(blob.begin(), blob.end());
 
-  auto session = DecodeSession(serve::memory_source(file));
-  EXPECT_TRUE(session.index().is_stream());
-  EXPECT_GT(session.index().num_segments(), 1u);
-  EXPECT_EQ(session.size(), input.size());
+  const auto session = open(serve::memory_source(file));
+  const serve::SeekIndex* index = session->backend().seek_index();
+  ASSERT_NE(index, nullptr);
+  EXPECT_TRUE(index->is_stream());
+  EXPECT_GT(index->num_segments(), 1u);
+  EXPECT_EQ(session->size(), input.size());
   // A read spanning a segment boundary.
-  const std::uint64_t seg1_end = session.index().segment_header(0).uncompressed_size;
+  const std::uint64_t seg1_end = index->segment_header(0).uncompressed_size;
   Bytes got(2000);
-  ASSERT_EQ(session.read_at(seg1_end - 1000, MutableByteSpan(got.data(), got.size())),
+  ASSERT_EQ(session->read_at(seg1_end - 1000, MutableByteSpan(got.data(), got.size())),
             2000u);
   EXPECT_TRUE(std::equal(got.begin(), got.end(),
                          input.begin() + static_cast<long>(seg1_end - 1000)));
   // Whole-stream equality.
-  const Bytes all = session.read_bytes_at(0, input.size());
+  const Bytes all = session->read_bytes_at(0, input.size());
   EXPECT_EQ(all, input);
 }
 
@@ -452,7 +456,7 @@ TEST(DecodeSession, CorruptBlockSurfacesOnRead) {
   EXPECT_THROW(
       {
         for (std::uint64_t off = 0; off < f.input.size(); off += 16 * 1024) {
-          session.read_at(off, MutableByteSpan(buf.data(), buf.size()));
+          session->read_at(off, MutableByteSpan(buf.data(), buf.size()));
         }
       },
       Error);
@@ -467,18 +471,18 @@ TEST(DecodeSession, TransientSourceFailureIsRetriable) {
   auto flaky = std::make_unique<serve::FaultInjectingByteSource>(
       serve::memory_source(ByteSpan(f.file.data(), f.file.size())));
   serve::FaultInjectingByteSource* handle = flaky.get();
-  serve::SessionOptions opt;
-  opt.num_threads = 1;  // deterministic: decode inline on the reader
-  opt.retry.max_attempts = 1;
-  DecodeSession session(std::move(flaky), opt);
+  OpenOptions opt;
+  opt.session.num_threads = 1;  // deterministic: decode inline on the reader
+  opt.session.retry.max_attempts = 1;
+  const auto session = open(std::move(flaky), opt);
 
   handle->inject(serve::FaultSpec::transient_any(1));  // arm after the index scan
   Bytes buf(1000);
-  EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), IoError);
+  EXPECT_THROW(session->read_at(0, MutableByteSpan(buf.data(), buf.size())), IoError);
   // The same range succeeds once the fault clears.
-  ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
+  ASSERT_EQ(session->read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
-  EXPECT_EQ(session.stats().transient_errors, 1u);
+  EXPECT_EQ(session->stats().transient_errors, 1u);
 }
 
 TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
@@ -491,18 +495,18 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
   auto flaky = std::make_unique<serve::FaultInjectingByteSource>(
       serve::memory_source(ByteSpan(f.file.data(), f.file.size())));
   serve::FaultInjectingByteSource* handle = flaky.get();
-  serve::SessionOptions opt;
-  opt.num_threads = 2;
-  opt.max_inflight_blocks = 2;
-  opt.retry.max_attempts = 1;
-  DecodeSession session(std::move(flaky), opt);
+  OpenOptions opt;
+  opt.session.num_threads = 2;
+  opt.session.max_inflight_blocks = 2;
+  opt.session.retry.max_attempts = 1;
+  const auto session = open(std::move(flaky), opt);
 
   // Fail exactly the prefetch read of block 1, scheduled as lookahead
   // by the first read of block 0.
   handle->inject(
-      serve::FaultSpec::transient_at(session.index().block(1).comp_offset, 1));
+      serve::FaultSpec::transient_at(session->block_extent(1).comp_offset, 1));
   Bytes buf(1000);
-  ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
+  ASSERT_EQ(session->read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
 
   // Let the failed lookahead publish its slot before touching block 1
@@ -510,14 +514,14 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
   // the failure directly, which is the delivered-error path, not this
   // test's subject). decode_failures is bumped when the slot publishes,
   // so polling it is race-free.
-  for (int i = 0; i < 2000 && session.stats().decode_failures == 0; ++i) {
+  for (int i = 0; i < 2000 && session->stats().decode_failures == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(session.stats().decode_failures, 1u);
+  ASSERT_EQ(session->stats().decode_failures, 1u);
 
-  const std::uint64_t off = session.index().block(1).uncomp_offset;
+  const std::uint64_t off = session->block_extent(1).uncomp_offset;
   Bytes got(1000);
-  ASSERT_EQ(session.read_at(off, MutableByteSpan(got.data(), got.size())), 1000u);
+  ASSERT_EQ(session->read_at(off, MutableByteSpan(got.data(), got.size())), 1000u);
   EXPECT_TRUE(std::equal(got.begin(), got.end(),
                          f.input.begin() + static_cast<long>(off)));
 }
@@ -525,16 +529,16 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
 TEST(DecodeSession, TruncatedFileRejectedAtOpen) {
   const Fixture f(100000);
   const Bytes truncated(f.file.begin(), f.file.end() - 5);
-  EXPECT_THROW(DecodeSession(serve::memory_source(truncated)), Error);
+  EXPECT_THROW(open(serve::memory_source(truncated)), Error);
 }
 
 TEST(DecodeSession, EmptyFileServesZeroBytes) {
   const Bytes file = compress(Bytes{}, {});
-  auto session = DecodeSession(serve::memory_source(file));
-  EXPECT_EQ(session.size(), 0u);
+  const auto session = open(serve::memory_source(file));
+  EXPECT_EQ(session->size(), 0u);
   Bytes buf(10);
-  EXPECT_EQ(session.read(MutableByteSpan(buf.data(), buf.size())), 0u);
-  EXPECT_EQ(session.read_bytes_at(0, 10).size(), 0u);
+  EXPECT_EQ(session->read(MutableByteSpan(buf.data(), buf.size())), 0u);
+  EXPECT_EQ(session->read_bytes_at(0, 10).size(), 0u);
 }
 
 TEST(DecodeSession, FileSourceMatchesMemorySource) {
@@ -545,8 +549,8 @@ TEST(DecodeSession, FileSourceMatchesMemorySource) {
     out.write(reinterpret_cast<const char*>(f.file.data()),
               static_cast<std::streamsize>(f.file.size()));
   }
-  auto session = DecodeSession(serve::open_file_source(path));
-  const Bytes all = session.read_bytes_at(0, f.input.size());
+  const auto session = open(path);
+  const Bytes all = session->read_bytes_at(0, f.input.size());
   EXPECT_EQ(all, f.input);
   std::remove(path.c_str());
 }
@@ -556,10 +560,10 @@ TEST(DecodeSession, ExplicitDeStrategyRejectedOnNonDeFile) {
   CompressOptions copt;
   copt.dependency_elimination = false;
   const Bytes file = compress(input, copt);
-  serve::SessionOptions opt;
-  opt.auto_strategy = false;
-  opt.strategy = Strategy::kDependencyFree;
-  EXPECT_THROW(DecodeSession(serve::memory_source(file), opt), Error);
+  OpenOptions opt;
+  opt.decode.auto_strategy = false;
+  opt.decode.strategy = Strategy::kDependencyFree;
+  EXPECT_THROW(open(serve::memory_source(file), opt), Error);
 }
 
 }  // namespace
