@@ -1,8 +1,11 @@
 #include "ingest/gzip_index.hpp"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <fstream>
 #include <iterator>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "util/crc32.hpp"
@@ -19,6 +22,11 @@ struct IngestCounters {
   obs::Counter boundary_candidates;
   obs::Counter boundary_bits_scanned;
   obs::Counter bytes_indexed;
+  // One sample per build: time on the calling thread alone (accept or
+  // fall back, window tails, trailer checks) and time in the pass that
+  // patches and CRCs whole cells (on the pool when speculating).
+  obs::Histogram stitch_serial_us;
+  obs::Histogram patch_crc_us;
 };
 
 const IngestCounters& counters() {
@@ -30,6 +38,8 @@ const IngestCounters& counters() {
       obs::registry().counter("ingest.boundary_candidates", "candidates"),
       obs::registry().counter("ingest.boundary_bits_scanned", "bits"),
       obs::registry().counter("ingest.bytes_indexed", "bytes"),
+      obs::registry().histogram("ingest.stitch_serial_us", "us"),
+      obs::registry().histogram("ingest.patch_crc_us", "us"),
   };
   return c;
 }
@@ -37,6 +47,21 @@ const IngestCounters& counters() {
 /// Extra slice bytes past the grid pitch so a block straddling the
 /// nominal chunk end usually decodes without a grow-and-retry.
 constexpr std::uint64_t kSliceMargin = 64 * 1024;
+
+/// Tokens patched per step of the pool pass: the bytes stay in cache
+/// between the patch and the CRC that consumes them.
+constexpr std::size_t kPatchBlock = 64 * 1024;
+
+/// Patch window of marker cells that start the stream's output (no
+/// predecessor bytes): the same zero prefill the rolling window starts
+/// with.
+constexpr std::array<std::uint8_t, kWindowSize> kZeroWindow{};
+
+/// CRC32 and length of a cell's output between two member events.
+struct Segment {
+  std::uint32_t crc = 0;
+  std::uint64_t len = 0;
+};
 
 /// One grid cell's speculative work, filled in by a pool worker.
 struct ChunkTask {
@@ -55,6 +80,14 @@ struct ChunkTask {
   Bytes bytes;                         // byte mode
   std::vector<MemberEvent> members;    // out_offsets are chunk-relative
   BoundaryScanStats stats;
+
+  // Stitch. The serial pass picks the output and its patch window; the
+  // pool pass fills `segments`, which the combine reads.
+  bool markers = false;  // output is `tokens`, else `bytes`
+  std::uint64_t window_offset = kNoWindow;  // into GzipIndex::windows_
+  std::vector<Segment> segments;  // members.size() + 1, in output order
+
+  static constexpr std::uint64_t kNoWindow = ~std::uint64_t{0};
 };
 
 /// Decodes resolved bytes from absolute `start_bit` until the first
@@ -162,14 +195,15 @@ void run_byte_task(serve::ByteSource& source, std::uint64_t source_size,
   t.members = std::move(run.members);
 }
 
-/// Sequential stitch state threaded through the cells in order.
+/// Serial stitch state threaded through the cells in order.
 struct StitchState {
   Bytes window;  // rolling last-32-KiB of output, zero-prefilled
   std::uint64_t uncomp_pos = 0;
   std::uint64_t cur_bit = 0;
+  bool eos = false;
+  // Member trailer check, advanced by the combine.
   std::uint32_t member_crc = 0;
   std::uint64_t member_len = 0;
-  bool eos = false;
 };
 
 void roll_window(Bytes& window, ByteSpan out) {
@@ -180,6 +214,41 @@ void roll_window(Bytes& window, ByteSpan out) {
   std::copy(window.begin() + static_cast<std::ptrdiff_t>(out.size()),
             window.end(), window.begin());
   std::copy(out.begin(), out.end(), window.end() - static_cast<std::ptrdiff_t>(out.size()));
+}
+
+/// Pool pass for one accepted cell: CRCs its output between member
+/// events into t.segments and frees the output. Marker cells are patched
+/// kPatchBlock tokens at a time into `buf`, so their bytes are never
+/// materialized whole.
+void crc_cell(ChunkTask& t, ByteSpan window, MutableByteSpan buf) {
+  const std::span<const std::uint16_t> tokens(t.tokens);
+  const auto crc_range = [&](std::size_t begin, std::size_t end) {
+    if (!t.markers) return crc32(ByteSpan(t.bytes.data() + begin, end - begin));
+    std::uint32_t crc = 0;
+    for (std::size_t p = begin; p < end; p += buf.size()) {
+      const std::size_t m = std::min(buf.size(), end - p);
+      patch_markers(tokens.subspan(p, m), window, buf.first(m));
+      crc = crc32(ByteSpan(buf.data(), m), crc);
+    }
+    return crc;
+  };
+  const std::size_t size = t.markers ? t.tokens.size() : t.bytes.size();
+  std::size_t prev = 0;
+  for (const MemberEvent& ev : t.members) {
+    const std::size_t at = static_cast<std::size_t>(ev.out_offset);
+    t.segments.push_back({crc_range(prev, at), at - prev});
+    prev = at;
+  }
+  t.segments.push_back({crc_range(prev, size), size - prev});
+  std::vector<std::uint16_t>().swap(t.tokens);
+  Bytes().swap(t.bytes);
+}
+
+std::uint64_t micros_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 }  // namespace
@@ -209,26 +278,21 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
   StitchState st;
   st.window.assign(kWindowSize, 0);
   st.cur_bit = 8 * data_begin;
+  Bytes tail(kWindowSize);
+  std::uint64_t serial_us = 0;
+  std::uint64_t patch_crc_us = 0;
 
+  // Serial pass: accept the cell's speculative output or decode it
+  // again with the true window, record its extents and start window,
+  // and roll the window forward. Only the last <= 32 KiB of a marker
+  // cell is patched here; the rest waits for the pool pass. Returns
+  // false for a cell its predecessor already consumed.
   InflateScratch stitch_scratch;
   const auto stitch_cell = [&](ChunkTask& t, bool counted_fallback) {
-    if (st.cur_bit >= 8 * t.next_grid_byte) return;  // eaten by predecessor
+    if (st.cur_bit >= 8 * t.next_grid_byte) return false;
     const std::uint64_t start_bit = st.cur_bit;
-    Bytes out;
-    std::uint64_t end_bit;
-    ChunkStatus status;
-    std::vector<MemberEvent> events;
     if (t.ok && (t.byte_mode || t.found_bit == st.cur_bit)) {
-      if (t.byte_mode) {
-        out = std::move(t.bytes);
-      } else {
-        out.resize(t.tokens.size());
-        patch_markers(t.tokens, ByteSpan(st.window.data(), st.window.size()),
-                      MutableByteSpan(out.data(), out.size()));
-      }
-      end_bit = t.end_bit;
-      status = t.status;
-      events = std::move(t.members);
+      t.markers = !t.byte_mode;
     } else {
       // Speculation missed (no boundary, or a boundary the stream did
       // not actually stop at): decode this cell sequentially with the
@@ -240,52 +304,71 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
               : ByteSpan(st.window.data(), st.window.size());
       ByteRun run = decode_byte_run(source, S, st.cur_bit, t.next_grid_byte,
                                     win, stitch_scratch);
-      out = std::move(run.out);
-      end_bit = run.end_bit;
-      status = run.status;
-      events = std::move(run.members);
+      std::vector<std::uint16_t>().swap(t.tokens);
+      t.markers = false;
+      t.bytes = std::move(run.out);
+      t.end_bit = run.end_bit;
+      t.status = run.status;
+      t.members = std::move(run.members);
+    }
+    const std::size_t size = t.markers ? t.tokens.size() : t.bytes.size();
+
+    if (size != 0) {
+      GzipChunk c;
+      c.start_bit = start_bit;
+      c.end_bit = t.end_bit;
+      c.uncomp_offset = st.uncomp_pos;
+      c.uncomp_size = size;
+      c.window_offset = idx.windows_.size();
+      if (st.uncomp_pos == 0) {
+        c.window_bytes = 0;
+      } else {
+        c.window_bytes = static_cast<std::uint32_t>(kWindowSize);
+        idx.windows_.insert(idx.windows_.end(), st.window.begin(), st.window.end());
+        t.window_offset = c.window_offset;
+      }
+      idx.chunks_.push_back(c);
+      ctr.chunks_indexed.inc();
+      ctr.bytes_indexed.add(size);
     }
 
-    std::size_t prev = 0;
-    for (const MemberEvent& ev : events) {
-      const std::size_t at = static_cast<std::size_t>(ev.out_offset);
-      st.member_crc = crc32(ByteSpan(out.data() + prev, at - prev), st.member_crc);
-      st.member_len += at - prev;
+    if (t.markers) {
+      const std::size_t m = std::min(size, kWindowSize);
+      patch_markers(std::span<const std::uint16_t>(t.tokens).last(m),
+                    ByteSpan(st.window.data(), st.window.size()),
+                    MutableByteSpan(tail.data(), m));
+      roll_window(st.window, ByteSpan(tail.data(), m));
+    } else {
+      roll_window(st.window, ByteSpan(t.bytes.data(), t.bytes.size()));
+    }
+    st.uncomp_pos += size;
+    st.cur_bit = t.end_bit;
+    st.eos = t.status == ChunkStatus::kEndOfStream;
+    return true;
+  };
+
+  // Combine: chain the cell's segment CRCs into the running member and
+  // check each trailer the cell closed.
+  const auto combine_cell = [&](const ChunkTask& t) {
+    for (std::size_t k = 0; k < t.segments.size(); ++k) {
+      st.member_crc = crc32_combine(st.member_crc, t.segments[k].crc,
+                                    t.segments[k].len);
+      st.member_len += t.segments[k].len;
+      if (k == t.members.size()) break;  // the last segment stays open
+      const MemberEvent& ev = t.members[k];
       check_corrupt(st.member_crc == ev.crc32, "gzip: member CRC32 mismatch");
       check_corrupt(static_cast<std::uint32_t>(st.member_len) == ev.isize,
                     "gzip: member ISIZE mismatch");
       st.member_crc = 0;
       st.member_len = 0;
-      prev = at;
     }
-    st.member_crc =
-        crc32(ByteSpan(out.data() + prev, out.size() - prev), st.member_crc);
-    st.member_len += out.size() - prev;
-    idx.num_members_ += events.size();
+    idx.num_members_ += t.members.size();
+  };
 
-    if (!out.empty()) {
-      GzipChunk c;
-      c.start_bit = start_bit;
-      c.end_bit = end_bit;
-      c.uncomp_offset = st.uncomp_pos;
-      c.uncomp_size = out.size();
-      if (st.uncomp_pos == 0) {
-        c.window_bytes = 0;
-        c.window_offset = idx.windows_.size();
-      } else {
-        c.window_offset = idx.windows_.size();
-        c.window_bytes = static_cast<std::uint32_t>(kWindowSize);
-        idx.windows_.insert(idx.windows_.end(), st.window.begin(), st.window.end());
-      }
-      idx.chunks_.push_back(c);
-      ctr.chunks_indexed.inc();
-      ctr.bytes_indexed.add(out.size());
-    }
-
-    roll_window(st.window, ByteSpan(out.data(), out.size()));
-    st.uncomp_pos += out.size();
-    st.cur_bit = end_bit;
-    st.eos = status == ChunkStatus::kEndOfStream;
+  const auto window_of = [&](const ChunkTask& t) {
+    return t.window_offset == ChunkTask::kNoWindow
+               ? ByteSpan(kZeroWindow.data(), kZeroWindow.size())
+               : ByteSpan(idx.windows_.data() + t.window_offset, kWindowSize);
   };
 
   const auto make_task = [&](std::size_t i) {
@@ -299,19 +382,33 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
     return t;
   };
 
+  using Clock = std::chrono::steady_clock;
   if (!speculate) {
     // Pure sequential: every cell goes through the stitch fallback with
     // the window always known — no markers, no scan, and chunk-level
-    // fallbacks are the norm rather than a miss, so not counted.
+    // fallbacks are the norm rather than a miss, so not counted. The
+    // byte run then takes the same CRC and combine as a pool-pass cell.
     for (std::size_t i = 0; i < n && !st.eos; ++i) {
       ChunkTask t = make_task(i);
-      stitch_cell(t, /*counted_fallback=*/false);
+      Clock::time_point t0 = Clock::now();
+      const bool accepted = stitch_cell(t, /*counted_fallback=*/false);
+      serial_us += micros_since(t0);
+      if (!accepted) continue;
+      t0 = Clock::now();
+      crc_cell(t, ByteSpan(), MutableByteSpan());
+      patch_crc_us += micros_since(t0);
+      t0 = Clock::now();
+      combine_cell(t);
+      serial_us += micros_since(t0);
     }
   } else {
-    // Waves of speculative tasks, stitched in order between waves. The
-    // wave width of 2x parallelism keeps workers busy while bounding
-    // the token streams held in memory at once.
+    // Waves of speculative tasks, then three passes per wave: the
+    // serial stitch (window tails only), the pool pass (whole-cell
+    // patch + CRC) and the serial combine. The wave width of 2x
+    // parallelism keeps workers busy while bounding the token streams
+    // held in memory at once.
     const std::size_t wave = 2 * par;
+    std::vector<Bytes> bufs(par, Bytes(kPatchBlock));
     for (std::size_t w0 = 0; w0 < n && !st.eos; w0 += wave) {
       const std::size_t w1 = std::min(n, w0 + wave);
       std::vector<ChunkTask> tasks;
@@ -325,17 +422,36 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
           run_marker_task(source, S, t);
         }
       });
+
+      Clock::time_point t0 = Clock::now();
+      std::vector<ChunkTask*> accepted;
       for (ChunkTask& t : tasks) {
         ctr.boundary_candidates.add(t.stats.candidates);
         ctr.boundary_bits_scanned.add(t.stats.bits_scanned);
         if (st.eos) break;
-        stitch_cell(t, /*counted_fallback=*/true);
+        if (stitch_cell(t, /*counted_fallback=*/true)) accepted.push_back(&t);
       }
+      serial_us += micros_since(t0);
+
+      t0 = Clock::now();
+      options.pool->parallel_for_worker(
+          accepted.size(), [&](std::size_t worker, std::size_t k) {
+            ChunkTask& t = *accepted[k];
+            crc_cell(t, window_of(t),
+                     MutableByteSpan(bufs[worker].data(), bufs[worker].size()));
+          });
+      patch_crc_us += micros_since(t0);
+
+      t0 = Clock::now();
+      for (const ChunkTask* t : accepted) combine_cell(*t);
+      serial_us += micros_since(t0);
     }
   }
 
   check_corrupt(st.eos, "gzip: stream ended without a final member trailer");
   idx.total_uncompressed_ = st.uncomp_pos;
+  ctr.stitch_serial_us.record(serial_us);
+  ctr.patch_crc_us.record(patch_crc_us);
   return idx;
 }
 

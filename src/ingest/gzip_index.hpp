@@ -4,12 +4,24 @@
 // has no such table, so this index *discovers* one (the rapidgzip
 // recipe, PAPERS.md): cut the compressed stream into fixed-size chunks
 // on a byte grid, speculatively find a DEFLATE block boundary near
-// each grid point (inflate.hpp's strong header filter), decode every
-// chunk in parallel into (literal, marker) token streams, then stitch
-// sequentially — each chunk's true 32 KiB window patches its
-// successor's markers. Chunks whose speculation missed (boundary not
-// found, or found a different bit than the stitch arrived at) fall
-// back to a sequential byte decode of just that chunk.
+// each grid point (inflate.hpp's strong header filter), and decode
+// every chunk in parallel into (literal, marker) token streams.
+//
+// The only true dependency between chunks is the 32 KiB window, so
+// only the window stays on the serial path. Each wave of 2x
+// parallelism chunks is stitched in three passes:
+//   1. serial: accept each chunk's speculation (or, on a miss — no
+//      boundary found, or a different bit than the stitch arrived at —
+//      decode just that chunk as bytes with the true window), record
+//      its extents and start window, and patch only its last <= 32 KiB
+//      of tokens to roll the window forward;
+//   2. pool: each chunk patches its whole token stream through a
+//      per-worker 64 KiB buffer and CRCs the output between member
+//      events; the patched bytes are never kept;
+//   3. serial: fold the per-segment (crc, len) pairs with
+//      crc32_combine and check every member's CRC32/ISIZE trailer.
+// The sequential build (no pool) is the same stitch with every chunk a
+// byte run.
 //
 // The result is the same shape as serve::SeekIndex: per-chunk extents
 // keyed by cumulative uncompressed offset, plus each chunk's start
@@ -17,10 +29,9 @@
 // (GzipBackend). It checkpoints into a "GZIX" sidecar, so reopening a
 // .gz costs a header parse instead of a boundary scan.
 //
-// Member CRC32/ISIZE trailers are verified during the build (chained
-// across chunk boundaries with crc32's seed threading), which is what
-// lets GzipBackend::decode_block skip whole-member verification it has
-// no context for.
+// Verifying the member trailers during the build is what lets
+// GzipBackend::decode_block skip whole-member verification it has no
+// context for.
 #pragma once
 
 #include <cstdint>

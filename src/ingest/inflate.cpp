@@ -354,21 +354,17 @@ void MarkerSink::copy(std::uint32_t length, std::uint32_t distance) {
   }
 }
 
-std::uint64_t patch_markers(const std::vector<std::uint16_t>& tokens,
-                            ByteSpan window, MutableByteSpan out) {
+void patch_markers(std::span<const std::uint16_t> tokens, ByteSpan window,
+                   MutableByteSpan out) {
   check(window.size() == kWindowSize, "gzip: patch window must be 32 KiB");
   check(out.size() == tokens.size(), "gzip: marker patch size mismatch");
-  std::uint64_t patched = 0;
+  const std::uint8_t* const w = window.data();
+  std::uint8_t* const o = out.data();
   for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const std::uint16_t t = tokens[i];
-    if (t < kMarkerBase) {
-      out[i] = static_cast<std::uint8_t>(t);
-    } else {
-      out[i] = window[t - kMarkerBase];
-      ++patched;
-    }
+    const unsigned t = tokens[i];
+    const std::uint8_t from_window = w[(t - kMarkerBase) & (kWindowSize - 1)];
+    o[i] = t < kMarkerBase ? static_cast<std::uint8_t>(t) : from_window;
   }
-  return patched;
 }
 
 // --------------------------------------------------------- chunk driver

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitstream/bit_reader.hpp"
@@ -213,11 +214,14 @@ class MarkerSink {
   std::uint64_t max_output_ = 0;
 };
 
-/// Resolves a marker-token stream against the true start window
-/// (exactly kWindowSize bytes, oldest first). out.size() must equal
-/// tokens.size(). Returns the number of markers patched.
-std::uint64_t patch_markers(const std::vector<std::uint16_t>& tokens,
-                            ByteSpan window, MutableByteSpan out);
+/// Resolves marker tokens against the true start window (exactly
+/// kWindowSize bytes, oldest first). out.size() must equal
+/// tokens.size(). Branchless: every token loads a (masked, always in
+/// bounds) window byte and selects it or the literal, so mixed
+/// literal/marker runs cost no mispredictions. Callers feed it blocks
+/// that fit in cache — the index build's window tail and its pool pass.
+void patch_markers(std::span<const std::uint16_t> tokens, ByteSpan window,
+                   MutableByteSpan out);
 
 // --------------------------------------------------------- chunk driver
 

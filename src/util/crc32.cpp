@@ -26,6 +26,40 @@ struct Crc32Tables {
 
 const Crc32Tables kTables;
 
+// A linear operator on 32-bit CRC registers over GF(2): column n is the
+// image of the register with only bit n set.
+using Gf2Matrix = std::array<std::uint32_t, 32>;
+
+std::uint32_t gf2_times(const Gf2Matrix& m, std::uint32_t v) {
+  std::uint32_t r = 0;
+  for (std::size_t n = 0; v != 0; ++n, v >>= 1) {
+    if (v & 1u) r ^= m[n];
+  }
+  return r;
+}
+
+Gf2Matrix gf2_square(const Gf2Matrix& m) {
+  Gf2Matrix sq{};
+  for (std::size_t n = 0; n < 32; ++n) sq[n] = gf2_times(m, m[n]);
+  return sq;
+}
+
+// zeros[k] advances a CRC register over 2^k zero bytes. One zero bit is
+// the reflected shift-and-reduce step; squaring doubles the run length.
+struct Crc32ZeroOperators {
+  std::array<Gf2Matrix, 64> zeros{};
+
+  Crc32ZeroOperators() {
+    Gf2Matrix bit{};
+    bit[0] = 0xEDB88320u;
+    for (std::size_t n = 1; n < 32; ++n) bit[n] = std::uint32_t{1} << (n - 1);
+    zeros[0] = gf2_square(gf2_square(gf2_square(bit)));  // 8 bits
+    for (std::size_t k = 1; k < zeros.size(); ++k) zeros[k] = gf2_square(zeros[k - 1]);
+  }
+};
+
+const Crc32ZeroOperators kZeroOps;
+
 }  // namespace
 
 std::uint32_t crc32(ByteSpan data, std::uint32_t seed) {
@@ -42,6 +76,14 @@ std::uint32_t crc32(ByteSpan data, std::uint32_t seed) {
   }
   while (n--) crc = (crc >> 8) ^ kTables.t[0][(crc ^ *p++) & 0xFFu];
   return ~crc;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                            std::uint64_t len2) {
+  for (std::size_t k = 0; len2 != 0; ++k, len2 >>= 1) {
+    if (len2 & 1u) crc1 = gf2_times(kZeroOps.zeros[k], crc1);
+  }
+  return crc1 ^ crc2;
 }
 
 }  // namespace gompresso

@@ -17,7 +17,10 @@
 //   - the "GZIX" sidecar: reopen loads it instead of re-scanning
 //     (counter-asserted) and a wrong-flavor sidecar is rejected;
 //   - parallel == sequential: the speculative wave build and the pure
-//     sequential build produce identical bytes;
+//     sequential build produce identical bytes and identical serialized
+//     indexes (windows included), also over members shorter than the
+//     window; a damaged middle-member trailer is caught on the parallel
+//     path;
 //   - gzip on a pipe: a non-seekable stream decodes through the same
 //     open() session as a seekable one, member trailers verified.
 #include <gtest/gtest.h>
@@ -150,6 +153,58 @@ Bytes read_file(const std::string& path) {
 
 bool have_gzip_binary() {
   return std::system("gzip --version >/dev/null 2>&1") == 0;
+}
+
+/// One real `gzip -6` member of `data` (requires have_gzip_binary()).
+Bytes gzip_member(ByteSpan data, const char* tag) {
+  const std::string raw = temp_path(tag);
+  const std::string gz = raw + ".gz";
+  write_file(raw, data);
+  EXPECT_EQ(std::system(("gzip -6 -n -c " + raw + " > " + gz).c_str()), 0);
+  Bytes out = read_file(gz);
+  std::remove(raw.c_str());
+  std::remove(gz.c_str());
+  return out;
+}
+
+/// Builds the index of `file` sequentially and on a 4-thread pool and
+/// checks both against `input`: same serialized index (extents and
+/// saved windows) and byte-identical session output.
+void expect_parallel_matches_sequential(ByteSpan file, const Bytes& input,
+                                        std::size_t chunk_size) {
+  ThreadPool pool(4);
+  ingest::GzipIndexOptions seq, par;
+  seq.chunk_size = par.chunk_size = chunk_size;
+  par.pool = &pool;
+  auto ssrc = serve::memory_source(file);
+  auto psrc = serve::memory_source(file);
+  const obs::MetricsSnapshot before = metrics_snapshot();
+  const ingest::GzipIndex si = ingest::GzipIndex::build(*ssrc, seq);
+  const ingest::GzipIndex pi = ingest::GzipIndex::build(*psrc, par);
+  const obs::MetricsSnapshot after = metrics_snapshot();
+
+  ASSERT_EQ(si.total_uncompressed(), input.size());
+  ASSERT_EQ(pi.total_uncompressed(), input.size());
+  // The wave build must land on the same chunk geometry the sequential
+  // build finds — speculation changes the schedule, not the result.
+  ASSERT_EQ(pi.num_chunks(), si.num_chunks());
+  for (std::size_t i = 0; i < si.num_chunks(); ++i) {
+    EXPECT_EQ(pi.chunk(i).start_bit, si.chunk(i).start_bit);
+    EXPECT_EQ(pi.chunk(i).end_bit, si.chunk(i).end_bit);
+    EXPECT_EQ(pi.chunk(i).uncomp_offset, si.chunk(i).uncomp_offset);
+  }
+  // Extents alone would miss a wrong saved window.
+  EXPECT_EQ(pi.serialize(), si.serialize());
+  // One stitch-time sample per build, on either path.
+  for (const char* name : {"ingest.stitch_serial_us", "ingest.patch_crc_us"}) {
+    const auto count = [&](const obs::MetricsSnapshot& snap) {
+      const obs::MetricValue* m = snap.find(name);
+      return m == nullptr ? std::uint64_t{0} : m->hist.count();
+    };
+    EXPECT_EQ(count(after), count(before) + 2) << name;
+  }
+
+  EXPECT_EQ(decode_gzip(file, 4, chunk_size), input);
 }
 
 /// A streambuf that cannot seek (pubseekoff keeps the std::streambuf
@@ -368,36 +423,73 @@ TEST(IngestGzip, GoldenMultiMemberConcatenation) {
 TEST(IngestGzip, ParallelBuildMatchesSequential) {
   if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
   const Bytes input = datagen::wikipedia(2 << 20);
-  const std::string raw = temp_path("par");
-  write_file(raw, ByteSpan(input.data(), input.size()));
-  const std::string gz = raw + ".gz";
-  ASSERT_EQ(std::system(("gzip -c " + raw + " > " + gz).c_str()), 0);
-  const Bytes file = read_file(gz);
+  const Bytes file = gzip_member(ByteSpan(input.data(), input.size()), "par");
+  expect_parallel_matches_sequential(ByteSpan(file.data(), file.size()), input,
+                                     96 * 1024);
+}
+
+TEST(IngestGzip, ParallelBuildHandlesMembersShorterThanTheWindow) {
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  // 5-20 KiB members (each shorter than the 32 KiB window, so windows
+  // roll through the short-cell path and straddle member starts) around
+  // one member that spans several 16 KiB chunks.
+  const Bytes text = datagen::wikipedia(1 << 20);
+  Rng rng(13);
+  Bytes input, file;
+  std::size_t pos = 0;
+  for (int m = 0; m < 40; ++m) {
+    const std::size_t len =
+        m == 20 ? 300000 : 5 * 1024 + rng.next_below(15 * 1024 + 1);
+    const ByteSpan part(text.data() + pos, len);
+    pos += len;
+    input.insert(input.end(), part.begin(), part.end());
+    const Bytes gz = gzip_member(part, "members");
+    file.insert(file.end(), gz.begin(), gz.end());
+  }
+  ASSERT_GE(file.size(), 8 * 16 * 1024u);
+  // 4 KiB cells (the minimum pitch) decode to less than a window each,
+  // so marker cells also take the short-tail roll.
+  for (const std::size_t chunk : {std::size_t{16 * 1024}, std::size_t{4096}}) {
+    expect_parallel_matches_sequential(ByteSpan(file.data(), file.size()), input,
+                                       chunk);
+  }
+}
+
+TEST(IngestGzip, ParallelBuildChecksMiddleMemberTrailers) {
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  // Three members over >= 8 chunks; the middle member's trailer sits
+  // deep inside the stream, where the stitch accepts speculative
+  // marker cells and the trailer check runs on combined pool CRCs.
+  const Bytes text = datagen::wikipedia(600000);
+  const std::size_t cut1 = 250000, cut2 = 400000;
+  Bytes file;
+  std::size_t middle_end = 0;
+  for (const auto [b, e] : {std::pair{std::size_t{0}, cut1}, std::pair{cut1, cut2},
+                            std::pair{cut2, text.size()}}) {
+    const Bytes gz = gzip_member(ByteSpan(text.data() + b, e - b), "trailer");
+    file.insert(file.end(), gz.begin(), gz.end());
+    if (e == cut2) middle_end = file.size();
+  }
+  constexpr std::size_t kChunk = 16 * 1024;
+  ASSERT_GE(file.size(), 8 * kChunk);
+  expect_parallel_matches_sequential(ByteSpan(file.data(), file.size()), text,
+                                     kChunk);
 
   ThreadPool pool(4);
-  ingest::GzipIndexOptions seq, par;
-  seq.chunk_size = par.chunk_size = 96 * 1024;
-  par.pool = &pool;
-  auto ssrc = serve::memory_source(ByteSpan(file.data(), file.size()));
-  auto psrc = serve::memory_source(ByteSpan(file.data(), file.size()));
-  const ingest::GzipIndex si = ingest::GzipIndex::build(*ssrc, seq);
-  const ingest::GzipIndex pi = ingest::GzipIndex::build(*psrc, par);
-
-  ASSERT_EQ(si.total_uncompressed(), input.size());
-  ASSERT_EQ(pi.total_uncompressed(), input.size());
-  // The wave build must land on the same chunk geometry the sequential
-  // build finds — speculation changes the schedule, not the result.
-  ASSERT_EQ(pi.num_chunks(), si.num_chunks());
-  for (std::size_t i = 0; i < si.num_chunks(); ++i) {
-    EXPECT_EQ(pi.chunk(i).start_bit, si.chunk(i).start_bit);
-    EXPECT_EQ(pi.chunk(i).end_bit, si.chunk(i).end_bit);
-    EXPECT_EQ(pi.chunk(i).uncomp_offset, si.chunk(i).uncomp_offset);
+  ingest::GzipIndexOptions opt;
+  opt.chunk_size = kChunk;
+  opt.pool = &pool;
+  // Trailer = CRC32 (4 bytes) then ISIZE (4 bytes), both little-endian.
+  for (const std::size_t at : {middle_end - 8, middle_end - 3}) {
+    Bytes bad = file;
+    bad[at] ^= 0x01;
+    auto src = serve::memory_source(ByteSpan(bad.data(), bad.size()));
+    EXPECT_THROW(ingest::GzipIndex::build(*src, opt), CorruptionError)
+        << "flipped trailer byte at " << at;
+    EXPECT_THROW(decode_gzip(ByteSpan(bad.data(), bad.size()), 4, kChunk),
+                 CorruptionError)
+        << "flipped trailer byte at " << at;
   }
-
-  const Bytes out = decode_gzip(ByteSpan(file.data(), file.size()), 4, 96 * 1024);
-  EXPECT_EQ(out, input);
-  std::remove(raw.c_str());
-  std::remove(gz.c_str());
 }
 
 // ------------------------------------------------------------ sidecar

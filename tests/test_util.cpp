@@ -52,6 +52,42 @@ TEST(Crc32, DetectsSingleBitFlips) {
   }
 }
 
+TEST(Crc32, CombineMatchesConcatenation) {
+  Rng rng(7);
+  Bytes data(1 << 20);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  const std::uint32_t whole = crc32(data);
+  // |B| = 0, 1, 32767, 32768 and |A| = 0 pin the edges; the rest are
+  // random splits of the same 1 MiB buffer.
+  std::vector<std::size_t> splits = {data.size(), data.size() - 1,
+                                     data.size() - 32767, data.size() - 32768, 0};
+  for (int i = 0; i < 32; ++i) splits.push_back(rng.next_below(data.size() + 1));
+  for (const std::size_t split : splits) {
+    const std::uint32_t a = crc32(ByteSpan(data.data(), split));
+    const std::uint32_t b = crc32(ByteSpan(data.data() + split, data.size() - split));
+    EXPECT_EQ(crc32_combine(a, b, data.size() - split), whole) << "split=" << split;
+  }
+}
+
+TEST(Crc32, CombineIsAssociative) {
+  Rng rng(8);
+  Bytes data(200000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  for (int trial = 0; trial < 16; ++trial) {
+    std::size_t i = rng.next_below(data.size() + 1);
+    std::size_t j = rng.next_below(data.size() + 1);
+    if (i > j) std::swap(i, j);
+    const std::uint32_t a = crc32(ByteSpan(data.data(), i));
+    const std::uint32_t b = crc32(ByteSpan(data.data() + i, j - i));
+    const std::uint32_t c = crc32(ByteSpan(data.data() + j, data.size() - j));
+    const std::uint32_t left = crc32_combine(crc32_combine(a, b, j - i), c, data.size() - j);
+    const std::uint32_t right =
+        crc32_combine(a, crc32_combine(b, c, data.size() - j), data.size() - i);
+    EXPECT_EQ(left, right) << "i=" << i << " j=" << j;
+    EXPECT_EQ(left, crc32(data)) << "i=" << i << " j=" << j;
+  }
+}
+
 TEST(Varint, RoundTripBoundaries) {
   const std::uint64_t values[] = {0,    1,    127,  128,   16383, 16384,
                                   1 << 21, (1ull << 35) - 1, 0xFFFFFFFFFFFFFFFFull};
