@@ -434,7 +434,6 @@ int main(int argc, char** argv) {
       copt.dependency_elimination = strategy == Strategy::kDependencyFree;
       const Bytes file = compress(input, copt);
       DecompressOptions dopt;
-      dopt.auto_strategy = false;
       dopt.strategy = strategy;
       dopt.verify_checksums = false;
       dopt.num_threads = 1;
@@ -511,7 +510,6 @@ int main(int argc, char** argv) {
     }
   };
   DecompressOptions dopt;
-  dopt.auto_strategy = false;
   dopt.strategy = Strategy::kDependencyFree;
   dopt.verify_checksums = false;
   dopt.num_threads = 1;

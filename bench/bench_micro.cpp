@@ -122,7 +122,6 @@ void BM_StrategyResolve(benchmark::State& state) {
   copt.dependency_elimination = strategy == Strategy::kDependencyFree;
   const Bytes file = compress(input, copt);
   DecompressOptions dopt;
-  dopt.auto_strategy = false;
   dopt.strategy = strategy;
   dopt.verify_checksums = false;
   for (auto _ : state) {

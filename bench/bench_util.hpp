@@ -63,7 +63,6 @@ inline DecompressMeasurement measure_decompress(ByteSpan file, std::size_t input
                                                 Codec codec, Strategy strategy,
                                                 int repeats = 2) {
   DecompressOptions dopt;
-  dopt.auto_strategy = false;
   dopt.strategy = strategy;
   dopt.verify_checksums = false;  // measure the decompressor, not CRC32
 

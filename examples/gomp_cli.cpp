@@ -2,7 +2,7 @@
 //
 // Usage:
 //   gomp c [options] <input> <output>    compress a file
-//   gomp d <input> <output>              decompress a file
+//   gomp d <input> <output>              decompress a file (any container)
 //   gomp info <input>                    print container metadata
 //   gomp cat [options] <input> [out]     stream-decode via a DecodeSession
 //   gomp range <input> <off> <len> [out] random-access read via a session
@@ -41,7 +41,7 @@
 // cat additionally accepts:
 //   --best-effort     zero-fill unrecoverable blocks instead of failing;
 //                     damaged extents go to stderr, exit code 1 if any
-// cat/range/verify/stats/serve accept GMPZ containers, GMPS streams,
+// d/cat/range/verify/stats/serve accept GMPZ containers, GMPS streams,
 // and gzip files alike (the container is sniffed; gzip gets the
 // rapidgzip-style parallel index, see src/ingest/). With no output
 // path the bytes go to stdout and the stats to stderr. `gomp index`
@@ -191,6 +191,16 @@ bool parse_session_args(int argc, char** argv, serve::SessionOptions& opt,
     }
   }
   return true;
+}
+
+/// Classifies the container from the source's leading bytes.
+format::ContainerKind sniff(serve::ByteSource& source) {
+  Bytes prefix(static_cast<std::size_t>(
+      std::min<std::uint64_t>(source.size(), format::kSniffBytes)));
+  if (!prefix.empty()) {
+    source.read_at(0, MutableByteSpan(prefix.data(), prefix.size()));
+  }
+  return format::sniff_container(ByteSpan(prefix.data(), prefix.size()));
 }
 
 /// Opens a session over `input_path` through gompresso::open() — the
@@ -514,13 +524,7 @@ int cmd_index(int argc, char** argv) {
 
   // Sniff the container so `gomp index any.gz` writes the matching
   // sidecar flavor (".gzix" seek index vs the native ".gmpx").
-  Bytes prefix(static_cast<std::size_t>(
-      std::min<std::uint64_t>(source->size(), format::kSniffBytes)));
-  if (!prefix.empty()) {
-    source->read_at(0, MutableByteSpan(prefix.data(), prefix.size()));
-  }
-  if (format::sniff_container(ByteSpan(prefix.data(), prefix.size())) ==
-      format::ContainerKind::kGzip) {
+  if (sniff(*source) == format::ContainerKind::kGzip) {
     const std::string sidecar_path = argc == 2 ? argv[1] : input_path + ".gzix";
     ingest::GzipIndexOptions gopt;
     gopt.pool = &default_pool();
@@ -601,7 +605,6 @@ int cmd_decompress(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (arg == "--strategy" && i + 1 < argc) {
       const std::string s = argv[++i];
-      opt.auto_strategy = false;
       if (s == "sc") {
         opt.strategy = Strategy::kSequentialCopy;
       } else if (s == "mrr") {
@@ -623,6 +626,21 @@ int cmd_decompress(int argc, char** argv) {
   }
   if (input_path.empty() || output_path.empty()) return usage();
 
+  const std::unique_ptr<serve::ByteSource> source =
+      serve::open_file_source(input_path);
+  if (sniff(*source) != format::ContainerKind::kGmpz) {
+    // GMPS streams and gzip decode through the open() session, with the
+    // same options (--strategy applies to every native segment).
+    TraceGuard trace(trace_path);
+    Stopwatch timer;
+    const std::uint64_t bytes = decompress_file(input_path, output_path, opt);
+    const double seconds = timer.seconds();
+    trace.finish();  // the session joined its decodes before returning
+    std::printf("%s: %llu -> %llu bytes, %.2f GB/s\n", input_path.c_str(),
+                static_cast<unsigned long long>(source->size()),
+                static_cast<unsigned long long>(bytes), gb_per_sec(bytes, seconds));
+    return 0;
+  }
   const Bytes file = read_file(input_path);
   TraceGuard trace(trace_path);
   Stopwatch timer;

@@ -30,7 +30,6 @@ int main() {
     const Bytes file = compress(input, copt);
 
     DecompressOptions dopt;
-    dopt.auto_strategy = false;
     dopt.strategy = Strategy::kMultiRound;
     Stopwatch timer;
     const DecompressResult r = decompress(file, dopt);

@@ -32,7 +32,6 @@ int main() {
           Strategy::kDependencyFree}) {
       if (strategy == Strategy::kDependencyFree && !de) continue;
       DecompressOptions dopt;
-      dopt.auto_strategy = false;
       dopt.strategy = strategy;
       Stopwatch timer;
       const DecompressResult r = decompress(file, dopt);

@@ -1,11 +1,14 @@
-// Single-block decode, shared by the batch and streaming paths.
+// Native block decode, shared by the batch, pipe and session paths.
 //
-// decompress() (whole file in RAM, core/decompressor.cpp) and the serve
-// subsystem's DecodeSession (bounded-memory random access,
-// serve/decode_session.cpp) decode the same block payloads; this is the
-// one implementation both call. A block payload is what the per-block
-// size list delimits in Fig. 3: CRC32, mode byte, then the codec body.
+// A block payload is what the per-block size list delimits in Fig. 3:
+// CRC32, mode byte, then the codec body. decode_blocks() is the one
+// thread plan (§III): decompress() runs it over the whole file and
+// decompress_stream()'s pipe path over each batch read off the pipe.
+// The serve GMPZ backend decodes one block per session task through
+// decode_block_at().
 #pragma once
+
+#include <vector>
 
 #include "core/decode_scratch.hpp"
 #include "core/mrr_multipass.hpp"
@@ -27,10 +30,9 @@ struct BlockDecodeContext {
   bool scratch_reserved = false;  // arena pre-sized on first block touched
 };
 
-/// Resolves the effective strategy for a file: auto picks kDependencyFree
-/// for DE-compressed files and kMultiRound otherwise; an explicit
-/// kDependencyFree request on a non-DE file throws.
-Strategy resolve_strategy(const DecompressOptions& options,
+/// The strategy DecodeOptions::strategy `requested` means for this file
+/// (empty = pick from the header); throws on DE for a non-DE file.
+Strategy resolve_strategy(std::optional<Strategy> requested,
                           const format::FileHeader& header);
 
 /// Decodes one block payload (CRC32 + mode byte + codec body, i.e. the
@@ -42,6 +44,19 @@ Strategy resolve_strategy(const DecompressOptions& options,
 /// watermark handoff. Pass nullptr to stay on the calling thread.
 void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc,
                      MutableByteSpan out, Strategy strategy, bool verify_checksum,
-                     BlockDecodeContext& ctx, ThreadPool* lane_pool = nullptr);
+                     BlockDecodeContext& ctx, ThreadPool* lane_pool);
+
+/// Decodes blocks [first, first + count) of `header`; `payloads` holds
+/// exactly their payloads back to back, `out` exactly their bytes. With
+/// no pool (or one participant) blocks decode in order on the caller;
+/// several blocks go to the pool's workers whole (inter-block
+/// parallelism); a lone block fans both decode phases out across the
+/// pool (decode_block_at's `lane_pool`). `workers` holds one context per
+/// participant; it only grows, so batch after batch keeps warm arenas,
+/// and the caller merges the contexts' metrics.
+void decode_blocks(const format::FileHeader& header, std::size_t first,
+                   std::size_t count, ByteSpan payloads, MutableByteSpan out,
+                   Strategy strategy, bool verify_checksums, ThreadPool* pool,
+                   std::vector<BlockDecodeContext>& workers);
 
 }  // namespace gompresso::core

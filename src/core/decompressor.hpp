@@ -1,16 +1,15 @@
 // The Gompresso decompressor: inter-block parallelism across worker
 // threads, intra-block parallelism via the warp engine (§III-B).
 //
-// Thread plan: with at least as many blocks as pool participants, workers
-// pull whole blocks from the common queue (the paper's inter-block
-// parallelism). A single-block file cannot use that at all, so both of
-// its decode phases are fanned out across the pool instead: token decode
-// by sub-block lane (the paper's warp lanes, executed as real threads)
-// and LZ77 resolution by warp-group shard with a completed-watermark
-// handoff (core/resolve_parallel.hpp). Every worker owns a DecodeScratch
-// arena and private metric accumulators, merged once at the end — the
-// steady-state block loop takes no locks and performs no heap
-// allocations.
+// decompress() parses the header and runs core::decode_blocks()
+// (core/block_decode.hpp) over the whole file. That thread plan gives
+// workers whole blocks when there are several; a single-block file
+// instead fans both decode phases out across the pool — token decode by
+// sub-block lane (the paper's warp lanes, executed as real threads) and
+// LZ77 resolution by warp-group shard (core/resolve_parallel.hpp). Every
+// worker owns a DecodeScratch arena and private metric accumulators,
+// merged once at the end — the steady-state block loop takes no locks
+// and performs no heap allocations.
 #pragma once
 
 #include "core/decode_scratch.hpp"
@@ -41,7 +40,7 @@ struct DecompressResult {
 
 /// Decompresses a Gompresso file produced by gompresso::compress().
 ///
-/// Strategy selection: with `options.auto_strategy` (default) DE files
+/// Strategy selection: with `options.strategy` unset (default) DE files
 /// use the single-round dependency-free resolver and non-DE files use
 /// MRR. An explicit kDependencyFree request on a non-DE file throws,
 /// since such streams may contain intra-warp dependencies.

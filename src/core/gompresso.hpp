@@ -9,12 +9,17 @@
 //   gompresso::Bytes file = gompresso::compress(input, opt);
 //   gompresso::Bytes back = gompresso::decompress_bytes(file);
 //
+// Decode knobs live in one type, DecodeOptions (`strategy`, unset =
+// pick from the header; `verify_checksums`). DecompressOptions adds
+// `num_threads`; OpenOptions::decode is the same type. E.g. force MRR:
+//   dopt.strategy = gompresso::Strategy::kMultiRound;
+//
 // Reading any supported container (native GMPZ/GMPS or gzip) goes
 // through one front door:
 //
 //   gompresso::OpenOptions oopt;
 //   oopt.session.num_threads = 4;                // scheduling knobs
-//   oopt.decode.verify_checksums = true;         // decode knobs
+//   oopt.decode.verify_checksums = true;         // same DecodeOptions
 //   auto session = gompresso::open("data.gz", oopt);  // sniffs the magic
 //   session->read_at(offset, span);              // prefetch + cache
 //

@@ -45,11 +45,11 @@ struct OpenOptions {
   /// Session tuning, passed through to the DecodeSession (and used to
   /// resolve the gzip index-build pool when `gzip.pool` is unset).
   serve::SessionOptions session;
-  /// Decode knobs (checksum verification, native strategy choice),
-  /// passed straight to the backend open_backend() builds. The gzip
-  /// backend ignores them: its index build always checks every
-  /// member's CRC32/ISIZE, and it has no strategy to choose.
-  serve::BackendDecodeOptions decode;
+  /// Decode knobs (the DecodeOptions decompress() extends), passed
+  /// straight to the backend open_backend() builds. The gzip backend
+  /// ignores them: its index build always checks every member's
+  /// CRC32/ISIZE, and it has no strategy to choose.
+  DecodeOptions decode;
   /// Optional checkpointed seek table ("GMPX" or "GZIX"); empty = scan
   /// the source. A missing file is an error — callers that treat the
   /// sidecar as a cache should stat it first (as `gomp` does).

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "format/header.hpp"
@@ -77,16 +78,22 @@ struct CompressOptions {
   void validate() const;
 };
 
-/// Decompression configuration.
-struct DecompressOptions {
-  /// When true (default), picks kDependencyFree for DE-compressed files
-  /// and kMultiRound otherwise. When false, `strategy` is used as given
-  /// (selecting kDependencyFree for a non-DE file is rejected).
-  bool auto_strategy = true;
-  Strategy strategy = Strategy::kMultiRound;
-  std::size_t num_threads = 0;
+/// Decode knobs of every entry point (OpenOptions::decode, and the base
+/// of DecompressOptions for decompress() and decompress_stream()).
+struct DecodeOptions {
+  /// Back-reference resolution strategy. Empty (default) picks from the
+  /// header: kDependencyFree for DE-compressed files, kMultiRound
+  /// otherwise. An explicit kDependencyFree on a non-DE file is
+  /// rejected, since such streams may contain intra-warp dependencies.
+  std::optional<Strategy> strategy;
   /// Verify per-block CRC32 of the decompressed output (on by default).
   bool verify_checksums = true;
+};
+
+/// Decompression configuration of the batch and stream entry points.
+struct DecompressOptions : DecodeOptions {
+  /// Worker threads; 0 = shared default pool, 1 = sequential.
+  std::size_t num_threads = 0;
 };
 
 }  // namespace gompresso

@@ -8,7 +8,6 @@
 
 #include "core/block_decode.hpp"
 #include "core/compressor.hpp"
-#include "core/decompressor.hpp"
 #include "core/open.hpp"
 #include "format/sniff.hpp"
 #include "serve/decode_session.hpp"
@@ -29,9 +28,7 @@ void write_bytes(std::ostream& out, ByteSpan data) {
 OpenOptions open_options(const DecompressOptions& options) {
   OpenOptions oopt;
   oopt.session.num_threads = options.num_threads;
-  oopt.decode.verify_checksums = options.verify_checksums;
-  oopt.decode.auto_strategy = options.auto_strategy;
-  oopt.decode.strategy = options.strategy;
+  oopt.decode = options;
   return oopt;
 }
 
@@ -91,9 +88,11 @@ std::uint64_t decompress_gzip_pipe(std::istream& in, ByteSpan prefix,
 }
 
 /// Decode path for non-seekable inputs (pipes): one segment header at a
-/// time through the buffered reader, then batches of blocks decoded in
-/// parallel through the same decode_block_at() the sessions use. Memory
-/// is one pool-sized batch of compressed + decoded blocks — the same
+/// time through the buffered reader, then batches of `parallelism`
+/// block payloads read back to back and decoded by the same
+/// core::decode_blocks() thread plan as decompress() — so a batch of one
+/// block (a single-block container, say) fans out across the pool too.
+/// Memory is one batch of compressed + decoded blocks — the same
 /// O(parallelism x block) shape as a session window, never a whole
 /// segment.
 std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
@@ -105,66 +104,58 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
   // are the volume, go through read_exact's direct bulk path.
   util::IstreamReader reader(in, /*buffer_size=*/1);
 
-  // Same thread-plan selection as decompress(): a pipe narrows the
-  // *input* to one cursor, not the decode itself.
+  // A pipe narrows the *input* to one cursor, not the decode itself.
   std::unique_ptr<ThreadPool> own_pool;
   ThreadPool* pool = resolve_pool(options.num_threads, own_pool);
   const std::size_t batch = pool != nullptr ? pool->parallelism() : 1;
 
-  std::vector<core::BlockDecodeContext> ctxs(batch);
-  std::vector<Bytes> comp(batch);
-  std::vector<Bytes> decoded(batch);
+  std::vector<core::BlockDecodeContext> workers;
+  Bytes payloads;  // one batch of block payloads, back to back
+  Bytes decoded;   // ... and their uncompressed bytes
   std::uint64_t total = 0;
-  const auto decode_blocks = [&](const format::FileHeader& header) {
+  const auto decode_segment = [&](const format::FileHeader& header) {
     // A pipe has no payload length to validate the header's sizes
     // against (the seekable path bounds them by the real file size), and
     // the decode buffer is allocated before any payload arrives — so cap
     // the block size absolutely; 1 GiB is far beyond any plausible
     // configuration (the CLI caps --block at the same bound).
     check(header.block_size <= (1u << 30), "stream: implausible block size");
-    const Strategy strategy = core::resolve_strategy(options, header);
-    for (std::size_t b = 0; b < header.num_blocks(); b += batch) {
-      const std::size_t n = std::min(batch, header.num_blocks() - b);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t comp_size = header.block_compressed_sizes[b + i];
+    const Strategy strategy = core::resolve_strategy(options.strategy, header);
+    for (std::size_t first = 0; first < header.num_blocks(); first += batch) {
+      const std::size_t n = std::min(batch, header.num_blocks() - first);
+      std::uint64_t comp_len = 0;
+      std::uint64_t out_len = 0;
+      for (std::size_t b = first; b < first + n; ++b) {
+        const std::uint64_t comp_size = header.block_compressed_sizes[b];
         const std::uint64_t uncomp_len = std::min<std::uint64_t>(
             header.block_size, header.uncompressed_size -
-                                   static_cast<std::uint64_t>(b + i) * header.block_size);
+                                   static_cast<std::uint64_t>(b) * header.block_size);
         // Bound each block's compressed size by what any codec here
         // could plausibly emit — the worst case is well under 16x even
         // with degenerate sub-block settings — so a crafted huge size
         // fails with a clean Error, not std::length_error.
         check(comp_size <= 16 * uncomp_len + 65536,
               "stream: implausible compressed block size");
-        // Grow the staging buffer while reading rather than trusting
-        // comp_size up front: allocation never outruns bytes actually
-        // received, so a lying size fails at EOF ("truncated input")
-        // with memory proportional to what was sent, not claimed.
-        comp[i].clear();
-        std::uint64_t filled = 0;
-        while (filled < comp_size) {
-          const std::size_t step = static_cast<std::size_t>(
-              std::min<std::uint64_t>(comp_size - filled, 16u << 20));
-          comp[i].resize(static_cast<std::size_t>(filled) + step);
-          reader.read_exact(MutableByteSpan(comp[i].data() + filled, step));
-          filled += step;
-        }
-        decoded[i].resize(static_cast<std::size_t>(uncomp_len));
+        comp_len += comp_size;
+        out_len += uncomp_len;
       }
-      const auto decode_one = [&](std::size_t worker, std::size_t i) {
-        core::decode_block_at(header, comp[i],
-                              MutableByteSpan(decoded[i].data(), decoded[i].size()),
-                              strategy, options.verify_checksums, ctxs[worker]);
-      };
-      if (n == 1 || pool == nullptr) {
-        for (std::size_t i = 0; i < n; ++i) decode_one(0, i);
-      } else {
-        pool->parallel_for_worker(n, decode_one);
+      // Grow the staging buffer while reading rather than trusting the
+      // sizes up front: allocation never outruns bytes actually
+      // received, so a lying size fails at EOF ("truncated input") with
+      // memory proportional to what was sent, not claimed.
+      payloads.clear();
+      while (payloads.size() < comp_len) {
+        const std::size_t at = payloads.size();
+        const std::size_t step = static_cast<std::size_t>(
+            std::min<std::uint64_t>(comp_len - at, 16u << 20));
+        payloads.resize(at + step);
+        reader.read_exact(MutableByteSpan(payloads.data() + at, step));
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        write_bytes(out, decoded[i]);
-        total += decoded[i].size();
-      }
+      decoded.resize(static_cast<std::size_t>(out_len));
+      core::decode_blocks(header, first, n, payloads, decoded, strategy,
+                          options.verify_checksums, pool, workers);
+      write_bytes(out, decoded);
+      total += decoded.size();
     }
   };
 
@@ -184,7 +175,7 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
       const format::FileHeader header =
           format::FileHeader::deserialize_body(reader);
       header.check_block_count();
-      decode_blocks(header);
+      decode_segment(header);
       return total;
     }
     case format::ContainerKind::kGzip:
@@ -204,7 +195,7 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
     const std::uint64_t header_bytes = reader.offset() - segment_begin;
     check(header_bytes <= segment_size, "stream: segment smaller than its header");
     header.check_payload(segment_size - header_bytes);
-    decode_blocks(header);
+    decode_segment(header);
   }
   return total;
 }

@@ -13,8 +13,10 @@
 // the DecodeSession's sequential cursor (pipelined block prefetch, see
 // serve/decode_session.hpp), so memory stays bounded by the session
 // window. On a non-seekable input (a pipe) GMPS and bare GMPZ use
-// byte-exact framing with pool-parallel decode of one batch of blocks at
-// a time — O(parallelism x block) memory — while gzip is read whole into
+// byte-exact framing and decode one batch of `parallelism` blocks at a
+// time — O(parallelism x block) memory — through core::decode_blocks(),
+// the thread plan decompress() uses (whole blocks across workers, or a
+// lone block's lanes fanned out). gzip on a pipe is read whole into
 // memory (O(compressed)) and decoded through the same open() session
 // copy loop, so its member CRC32/ISIZE trailers are verified either way.
 // Both paths accept GMPS streams, bare GMPZ containers and RFC 1952 gzip.

@@ -14,18 +14,15 @@ namespace {
 /// by all concurrent decode_block() calls.
 class GmpzBackend final : public ContainerBackend {
  public:
-  GmpzBackend(SeekIndex index, const BackendDecodeOptions& options)
-      : index_(std::move(index)), options_(options) {
+  GmpzBackend(SeekIndex index, const DecodeOptions& options)
+      : index_(std::move(index)), verify_checksums_(options.verify_checksums) {
     // Per-segment strategy, resolved once: a stream may mix DE and
     // non-DE segments, and an explicit DE request must be validated
     // against every segment before the first decode.
-    DecompressOptions dopt;
-    dopt.auto_strategy = options_.auto_strategy;
-    dopt.strategy = options_.strategy;
     segment_strategy_.reserve(index_.num_segments());
     for (std::size_t s = 0; s < index_.num_segments(); ++s) {
       segment_strategy_.push_back(
-          core::resolve_strategy(dopt, index_.segment_header(s)));
+          core::resolve_strategy(options.strategy, index_.segment_header(s)));
     }
   }
 
@@ -59,8 +56,7 @@ class GmpzBackend final : public ContainerBackend {
     std::unique_ptr<core::BlockDecodeContext> ctx = pop_context();
     try {
       core::decode_block_at(index_.segment_header(e.segment), comp.cspan(), out,
-                            segment_strategy_[e.segment],
-                            options_.verify_checksums, *ctx,
+                            segment_strategy_[e.segment], verify_checksums_, *ctx,
                             /*lane_pool=*/nullptr);
     } catch (...) {
       push_context(std::move(ctx));
@@ -89,7 +85,7 @@ class GmpzBackend final : public ContainerBackend {
   }
 
   const SeekIndex index_;
-  const BackendDecodeOptions options_;
+  const bool verify_checksums_;
   std::vector<Strategy> segment_strategy_;
 
   util::Mutex mutex_;
@@ -100,7 +96,7 @@ class GmpzBackend final : public ContainerBackend {
 }  // namespace
 
 std::shared_ptr<ContainerBackend> make_gmpz_backend(
-    SeekIndex index, const BackendDecodeOptions& options) {
+    SeekIndex index, const DecodeOptions& options) {
   return std::make_shared<GmpzBackend>(std::move(index), options);
 }
 

@@ -1,9 +1,7 @@
 // ContainerBackend: the format seam between ByteSource and DecodeSession.
 //
-// A DecodeSession used to be hard-wired to the native container: its
-// seek map was a SeekIndex over format::FileHeader segments and its
-// decode task called core::decode_block_at directly. The backend
-// abstraction splits that into two halves:
+// A DecodeSession is format-agnostic; the backend abstraction splits a
+// session's work into two halves:
 //
 //   * the session keeps everything format-agnostic — scheduling,
 //     prefetch window, LRU cache, retry/backoff, health/damage
@@ -13,8 +11,8 @@
 //     and "decode block b from this source into this buffer".
 //
 // Implementations:
-//   * make_gmpz_backend() — the native GMPZ/GMPS path (SeekIndex +
-//     fused-table block decode), moved here from the session.
+//   * make_gmpz_backend() — the native GMPZ/GMPS path: SeekIndex block
+//     table, one core::decode_block_at() per session task.
 //   * ingest::make_gzip_backend() — rapidgzip-style parallel decode of
 //     arbitrary RFC 1952 gzip (src/ingest/gzip_backend.hpp).
 //
@@ -44,16 +42,6 @@ struct BackendBlock {
   std::uint64_t uncomp_size = 0;
   std::uint64_t comp_offset = 0;
   std::uint64_t comp_size = 0;
-};
-
-/// Decode-time knobs a backend captures at construction (immutable, so
-/// sharing a backend across sessions cannot race a reconfiguration).
-struct BackendDecodeOptions {
-  bool verify_checksums = true;
-  /// Strategy selection for the native codec path, as in
-  /// DecompressOptions (ignored by foreign-format backends).
-  bool auto_strategy = true;
-  Strategy strategy = Strategy::kMultiRound;
 };
 
 class ContainerBackend {
@@ -96,11 +84,10 @@ class ContainerBackend {
   virtual const SeekIndex* seek_index() const { return nullptr; }
 };
 
-/// The native GMPZ/GMPS backend: SeekIndex block table + fused-table
-/// block decode with per-segment strategy resolution (throws on an
-/// explicit strategy no segment supports, exactly as the session's old
-/// constructor did).
+/// The native GMPZ/GMPS backend. The decode knobs are captured at
+/// construction (so sessions sharing it cannot race a reconfiguration);
+/// a strategy some segment does not support throws here, not mid-read.
 std::shared_ptr<ContainerBackend> make_gmpz_backend(
-    SeekIndex index, const BackendDecodeOptions& options = {});
+    SeekIndex index, const DecodeOptions& options = {});
 
 }  // namespace gompresso::serve

@@ -13,7 +13,7 @@
 // callers holding a pre-built index pass serve::make_gmpz_backend()
 // themselves. SessionOptions carries only scheduling and resilience
 // knobs — checksum and strategy choices belong to the backend
-// (BackendDecodeOptions, set through OpenOptions::decode).
+// (DecodeOptions, set through OpenOptions::decode).
 //
 // Internally a ContainerBackend (serve/backend.hpp) maps uncompressed
 // offsets to compressed block extents and decodes one block at a time;

@@ -1,9 +1,10 @@
-// Regression tests for CLI signal handling: SIGINT mid-`gomp cat
-// --trace` must still finish the trace file and exit 130, and SIGTERM
-// against `gomp serve` must drain gracefully and exit 0. Both tests
-// fork/exec the real binary (a sibling of this test executable) so the
-// handlers, the TraceGuard teardown order, and the exit codes are
-// exercised exactly as a user would hit them.
+// Regression tests for the CLI binary: SIGINT mid-`gomp cat --trace`
+// must still finish the trace file and exit 130, SIGTERM against
+// `gomp serve` must drain gracefully and exit 0, and `gomp d` must read
+// every container `open()` reads. The tests fork/exec the real binary
+// (a sibling of this test executable) so the handlers, the TraceGuard
+// teardown order, and the exit codes are exercised exactly as a user
+// would hit them.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,7 +14,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -167,6 +170,65 @@ TEST(CliSignals, SigtermDuringServeDrainsAndExitsZero) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 
   std::remove(archive.c_str());
+}
+
+Bytes read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
+}
+
+/// Runs `gomp d` to completion (stdout discarded); returns the exit code.
+int run_decompress(const std::vector<std::string>& args) {
+  std::vector<std::string> argv = {"d"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  const int devnull = ::open("/dev/null", O_WRONLY);
+  const pid_t pid = spawn_cli(argv, devnull);
+  close(devnull);
+  if (pid <= 0) return -1;
+  const int status = wait_for_exit(pid, 60000);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CliDecompress, ReadsGzipAndGmpsInput) {
+  if (std::system("gzip --version >/dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "no gzip binary";
+  }
+  const std::string raw = temp_path("d.raw");
+  const std::string gz = raw + ".gz";
+  const std::string gmps = temp_path("d.gmps");
+  const std::string gmps_no_de = temp_path("d_no_de.gmps");
+  const std::string back = temp_path("d.back");
+  const Bytes input = datagen::wikipedia(300000);
+  {
+    std::ofstream out(raw, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(input.data()),
+              static_cast<std::streamsize>(input.size()));
+    ASSERT_TRUE(out.good());
+  }
+  ASSERT_EQ(std::system(("gzip -6 -n -c " + raw + " > " + gz).c_str()), 0);
+  CompressOptions opt;
+  opt.block_size = 32 * 1024;
+  ASSERT_EQ(compress_file(raw, gmps, opt, 128 * 1024), input.size());
+  opt.dependency_elimination = false;
+  ASSERT_EQ(compress_file(raw, gmps_no_de, opt, 128 * 1024), input.size());
+
+  for (const std::string& in : {gz, gmps}) {
+    SCOPED_TRACE(in);
+    std::remove(back.c_str());
+    ASSERT_EQ(run_decompress({in, back}), 0);
+    EXPECT_EQ(read_bytes(back), input);
+  }
+  // --strategy reaches the session path: honoured on every segment, and
+  // an explicit DE request on a non-DE stream is an error.
+  std::remove(back.c_str());
+  ASSERT_EQ(run_decompress({"--strategy", "mrr", gmps_no_de, back}), 0);
+  EXPECT_EQ(read_bytes(back), input);
+  EXPECT_EQ(run_decompress({"--strategy", "de", gmps_no_de, back}), 1);
+
+  for (const std::string& path : {raw, gz, gmps, gmps_no_de, back}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

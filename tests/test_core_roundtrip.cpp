@@ -169,7 +169,6 @@ TEST(Options, DeStrategyOnNonDeFileRejected) {
   opt.dependency_elimination = false;
   const Bytes file = compress(input, opt);
   DecompressOptions dopt;
-  dopt.auto_strategy = false;
   dopt.strategy = Strategy::kDependencyFree;
   EXPECT_THROW(decompress(file, dopt), Error);
 }

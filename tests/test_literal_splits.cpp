@@ -52,7 +52,6 @@ TEST(LiteralSplits, SplitSequencesCountTowardDeGroups) {
   opt.dependency_elimination = true;
   const Bytes file = compress(input, opt);
   DecompressOptions dopt;
-  dopt.auto_strategy = false;
   dopt.strategy = Strategy::kDependencyFree;  // throws on any intra-group dep
   EXPECT_EQ(decompress(file, dopt).data, input);
 }

@@ -556,14 +556,22 @@ TEST(DecodeSession, FileSourceMatchesMemorySource) {
 }
 
 TEST(DecodeSession, ExplicitDeStrategyRejectedOnNonDeFile) {
+  // An explicit DE request on a non-DE file is rejected when the backend
+  // is built, before any decode; unset, the header picks MRR.
   const Bytes input = datagen::wikipedia(100000);
   CompressOptions copt;
   copt.dependency_elimination = false;
   const Bytes file = compress(input, copt);
   OpenOptions opt;
-  opt.decode.auto_strategy = false;
   opt.decode.strategy = Strategy::kDependencyFree;
   EXPECT_THROW(open(serve::memory_source(file), opt), Error);
+  EXPECT_THROW(serve::make_gmpz_backend(
+                   serve::SeekIndex::build(*serve::memory_source(file)), opt.decode),
+               Error);
+
+  opt.decode.strategy.reset();
+  const auto session = open(serve::memory_source(file), opt);
+  EXPECT_EQ(session->read_bytes_at(0, input.size()), input);
 }
 
 }  // namespace

@@ -56,13 +56,11 @@ TEST(Smoke, AllStrategiesAgree) {
     for (const Strategy s : {Strategy::kSequentialCopy, Strategy::kMultiRound,
                              Strategy::kMultiPass}) {
       DecompressOptions dopt;
-      dopt.auto_strategy = false;
       dopt.strategy = s;
       EXPECT_EQ(decompress(file, dopt).data, input) << strategy_name(s) << " de=" << de;
     }
     if (de) {
       DecompressOptions dopt;
-      dopt.auto_strategy = false;
       dopt.strategy = Strategy::kDependencyFree;
       EXPECT_EQ(decompress(file, dopt).data, input);
     }

@@ -5,9 +5,11 @@
 #include <sstream>
 
 #include "core/compressor.hpp"
+#include "core/decompressor.hpp"
 #include "core/stream.hpp"
 #include "datagen/datasets.hpp"
 #include "format/header.hpp"
+#include "obs/metrics.hpp"
 
 namespace gompresso {
 namespace {
@@ -173,17 +175,48 @@ TEST(Stream, NonSeekableConsumptionIsByteExact) {
 
 TEST(Stream, NonSeekableAcceptsBareContainer) {
   // The documented contract: either decode path serves a bare GMPZ
-  // container, including through a pipe.
-  const Bytes input = datagen::wikipedia(150000);
-  CompressOptions opt;
-  opt.block_size = 32 * 1024;
-  const Bytes file = compress(input, opt);
-  SequentialBuf buf(std::string(file.begin(), file.end()));
-  std::istream cin(&buf);
-  cin.clear();
-  std::ostringstream out;
-  EXPECT_EQ(decompress_stream(cin, out), input.size());
-  EXPECT_EQ(out.str(), to_string(input));
+  // container, including through a pipe. A container of one block
+  // (block >= input) is a batch of one on the pipe, so at 4 threads it
+  // takes decompress()'s lane fan-out plan: sub-block lanes and sharded
+  // resolve across the pool. Every case must match both the input and
+  // decompress().
+  const Bytes input = datagen::wikipedia(600000);
+  struct Case {
+    Codec codec;
+    std::uint32_t block_size;
+  };
+  for (const Case c : {Case{Codec::kBit, 32 * 1024}, Case{Codec::kBit, 1u << 20},
+                       Case{Codec::kByte, 1u << 20}, Case{Codec::kTans, 1u << 20}}) {
+    CompressOptions opt;
+    opt.codec = c.codec;
+    opt.block_size = c.block_size;
+    const Bytes file = compress(input, opt);
+    const std::string expected = to_string(decompress(file).data);
+    ASSERT_EQ(expected, to_string(input));
+    const bool one_block = c.block_size >= input.size();
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "codec " << static_cast<int>(c.codec)
+                                      << " block " << c.block_size << " threads "
+                                      << threads);
+      const std::uint64_t sharded_before =
+          obs::metrics_snapshot().counter("resolve.sharded_blocks");
+      SequentialBuf buf(std::string(file.begin(), file.end()));
+      std::istream cin(&buf);
+      cin.clear();
+      std::ostringstream out;
+      DecompressOptions dopt;
+      dopt.num_threads = threads;
+      EXPECT_EQ(decompress_stream(cin, out, dopt), input.size());
+      EXPECT_EQ(out.str(), expected);
+      const std::uint64_t sharded =
+          obs::metrics_snapshot().counter("resolve.sharded_blocks") - sharded_before;
+      if (one_block && threads == 4) {
+        EXPECT_EQ(sharded, 1u) << "a lone block on a pipe must fan out";
+      } else {
+        EXPECT_EQ(sharded, 0u);
+      }
+    }
+  }
 }
 
 TEST(Stream, NonSeekableBareContainerBlockCountMismatchThrows) {
@@ -266,6 +299,39 @@ TEST(Stream, MultiThreadedStreamDecodeMatches) {
   DecompressOptions dopt;
   dopt.num_threads = 4;  // exercise the prefetch pipeline inside the stream path
   EXPECT_EQ(decompress_stream(cin, out, dopt), input.size());
+  EXPECT_EQ(out.str(), to_string(input));
+}
+
+TEST(Stream, ExplicitDeStrategyRejectedOnNonDeStream) {
+  // The strategy knob reaches the pipe path too: an explicit DE request
+  // on a non-DE stream throws there, as through decompress() and open().
+  const Bytes input = datagen::wikipedia(100000);
+  std::istringstream in(to_string(input));
+  std::ostringstream compressed;
+  CompressOptions opt;
+  opt.block_size = 32 * 1024;
+  opt.dependency_elimination = false;
+  compress_stream(in, compressed, opt, 64 * 1024);
+  DecompressOptions dopt;
+  dopt.strategy = Strategy::kDependencyFree;
+  {
+    SequentialBuf pipe(compressed.str());
+    std::istream cin(&pipe);
+    cin.clear();
+    std::ostringstream out;
+    EXPECT_THROW(decompress_stream(cin, out, dopt), Error);
+  }
+  {
+    std::istringstream cin(compressed.str());  // seekable: the session path
+    std::ostringstream out;
+    EXPECT_THROW(decompress_stream(cin, out, dopt), Error);
+  }
+  // Unset, the same stream decodes (MRR, picked from each header).
+  SequentialBuf pipe(compressed.str());
+  std::istream cin(&pipe);
+  cin.clear();
+  std::ostringstream out;
+  EXPECT_EQ(decompress_stream(cin, out), input.size());
   EXPECT_EQ(out.str(), to_string(input));
 }
 
