@@ -20,7 +20,7 @@ namespace {
 void write_bytes(std::ostream& out, ByteSpan data) {
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
-  check(out.good(), "stream: write failed");
+  check_io(out.good(), "stream: write failed");
 }
 
 /// The decode knobs of a batch call, routed to the one place a session
@@ -119,7 +119,8 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
     // the decode buffer is allocated before any payload arrives — so cap
     // the block size absolutely; 1 GiB is far beyond any plausible
     // configuration (the CLI caps --block at the same bound).
-    check(header.block_size <= (1u << 30), "stream: implausible block size");
+    check_format(header.block_size <= (1u << 30),
+                 "stream: implausible block size");
     const Strategy strategy = core::resolve_strategy(options.strategy, header);
     for (std::size_t first = 0; first < header.num_blocks(); first += batch) {
       const std::size_t n = std::min(batch, header.num_blocks() - first);
@@ -134,8 +135,8 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
         // could plausibly emit — the worst case is well under 16x even
         // with degenerate sub-block settings — so a crafted huge size
         // fails with a clean Error, not std::length_error.
-        check(comp_size <= 16 * uncomp_len + 65536,
-              "stream: implausible compressed block size");
+        check_format(comp_size <= 16 * uncomp_len + 65536,
+                     "stream: implausible compressed block size");
         comp_len += comp_size;
         out_len += uncomp_len;
       }
@@ -189,11 +190,12 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
   while (true) {
     const std::uint64_t segment_size = reader.read_varint();
     if (segment_size == 0) break;  // terminator
-    check(segment_size <= (1ull << 40), "stream: implausible segment size");
+    check_format(segment_size <= (1ull << 40), "stream: implausible segment size");
     const std::uint64_t segment_begin = reader.offset();
     const format::FileHeader header = format::FileHeader::deserialize(reader);
     const std::uint64_t header_bytes = reader.offset() - segment_begin;
-    check(header_bytes <= segment_size, "stream: segment smaller than its header");
+    check_format(header_bytes <= segment_size,
+                 "stream: segment smaller than its header");
     header.check_payload(segment_size - header_bytes);
     decode_segment(header);
   }
@@ -224,9 +226,9 @@ std::uint64_t compress_stream(std::istream& in, std::ostream& out,
     write_bytes(out, framing);
     write_bytes(out, segment);
   }
-  check(in.eof() || in.good(), "stream: read failed");
+  check_io(in.eof() || in.good(), "stream: read failed");
   out.put(0);  // zero-length terminator
-  check(out.good(), "stream: write failed");
+  check_io(out.good(), "stream: write failed");
   return total;
 }
 

@@ -382,38 +382,24 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
     return t;
   };
 
+  // Waves of speculative tasks, then three passes per wave: the serial
+  // stitch (window tails only), the pool pass (whole-cell patch + CRC)
+  // and the serial combine. The wave width of 2x parallelism keeps
+  // workers busy while bounding the token streams held in memory at
+  // once. Without speculation (no pool, one participant or one cell)
+  // the task pass is skipped and waves are one cell: every cell goes
+  // through the stitch's byte-run fallback with its window known, the
+  // norm rather than a miss, so not counted, and the patch + CRC pass
+  // runs inline.
   using Clock = std::chrono::steady_clock;
-  if (!speculate) {
-    // Pure sequential: every cell goes through the stitch fallback with
-    // the window always known — no markers, no scan, and chunk-level
-    // fallbacks are the norm rather than a miss, so not counted. The
-    // byte run then takes the same CRC and combine as a pool-pass cell.
-    for (std::size_t i = 0; i < n && !st.eos; ++i) {
-      ChunkTask t = make_task(i);
-      Clock::time_point t0 = Clock::now();
-      const bool accepted = stitch_cell(t, /*counted_fallback=*/false);
-      serial_us += micros_since(t0);
-      if (!accepted) continue;
-      t0 = Clock::now();
-      crc_cell(t, ByteSpan(), MutableByteSpan());
-      patch_crc_us += micros_since(t0);
-      t0 = Clock::now();
-      combine_cell(t);
-      serial_us += micros_since(t0);
-    }
-  } else {
-    // Waves of speculative tasks, then three passes per wave: the
-    // serial stitch (window tails only), the pool pass (whole-cell
-    // patch + CRC) and the serial combine. The wave width of 2x
-    // parallelism keeps workers busy while bounding the token streams
-    // held in memory at once.
-    const std::size_t wave = 2 * par;
-    std::vector<Bytes> bufs(par, Bytes(kPatchBlock));
-    for (std::size_t w0 = 0; w0 < n && !st.eos; w0 += wave) {
-      const std::size_t w1 = std::min(n, w0 + wave);
-      std::vector<ChunkTask> tasks;
-      tasks.reserve(w1 - w0);
-      for (std::size_t i = w0; i < w1; ++i) tasks.push_back(make_task(i));
+  const std::size_t wave = speculate ? 2 * par : 1;
+  std::vector<Bytes> bufs(par, Bytes(kPatchBlock));
+  for (std::size_t w0 = 0; w0 < n && !st.eos; w0 += wave) {
+    const std::size_t w1 = std::min(n, w0 + wave);
+    std::vector<ChunkTask> tasks;
+    tasks.reserve(w1 - w0);
+    for (std::size_t i = w0; i < w1; ++i) tasks.push_back(make_task(i));
+    if (speculate) {
       options.pool->parallel_for(tasks.size(), [&](std::size_t k) {
         ChunkTask& t = tasks[k];
         if (t.byte_mode) {
@@ -422,30 +408,34 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
           run_marker_task(source, S, t);
         }
       });
-
-      Clock::time_point t0 = Clock::now();
-      std::vector<ChunkTask*> accepted;
-      for (ChunkTask& t : tasks) {
-        ctr.boundary_candidates.add(t.stats.candidates);
-        ctr.boundary_bits_scanned.add(t.stats.bits_scanned);
-        if (st.eos) break;
-        if (stitch_cell(t, /*counted_fallback=*/true)) accepted.push_back(&t);
-      }
-      serial_us += micros_since(t0);
-
-      t0 = Clock::now();
-      options.pool->parallel_for_worker(
-          accepted.size(), [&](std::size_t worker, std::size_t k) {
-            ChunkTask& t = *accepted[k];
-            crc_cell(t, window_of(t),
-                     MutableByteSpan(bufs[worker].data(), bufs[worker].size()));
-          });
-      patch_crc_us += micros_since(t0);
-
-      t0 = Clock::now();
-      for (const ChunkTask* t : accepted) combine_cell(*t);
-      serial_us += micros_since(t0);
     }
+
+    Clock::time_point t0 = Clock::now();
+    std::vector<ChunkTask*> accepted;
+    for (ChunkTask& t : tasks) {
+      ctr.boundary_candidates.add(t.stats.candidates);
+      ctr.boundary_bits_scanned.add(t.stats.bits_scanned);
+      if (st.eos) break;
+      if (stitch_cell(t, /*counted_fallback=*/speculate)) accepted.push_back(&t);
+    }
+    serial_us += micros_since(t0);
+
+    t0 = Clock::now();
+    const auto patch_crc = [&](std::size_t worker, std::size_t k) {
+      ChunkTask& t = *accepted[k];
+      crc_cell(t, window_of(t),
+               MutableByteSpan(bufs[worker].data(), bufs[worker].size()));
+    };
+    if (speculate) {
+      options.pool->parallel_for_worker(accepted.size(), patch_crc);
+    } else {
+      for (std::size_t k = 0; k < accepted.size(); ++k) patch_crc(0, k);
+    }
+    patch_crc_us += micros_since(t0);
+
+    t0 = Clock::now();
+    for (const ChunkTask* t : accepted) combine_cell(*t);
+    serial_us += micros_since(t0);
   }
 
   check_corrupt(st.eos, "gzip: stream ended without a final member trailer");

@@ -69,7 +69,7 @@ Server::Server(SourceFactory factory,
     : factory_(std::move(factory)),
       backend_(std::move(backend)),
       options_(options),
-      decode_pool_(options.decode_threads),
+      decode_pool_(options.session.num_threads),
       queue_(std::max<std::size_t>(options.pending_requests, 1)) {
   obs::ensure_initialized();
   check(factory_ != nullptr, "net: serve needs a source factory");
@@ -88,7 +88,6 @@ std::shared_ptr<serve::ContainerBackend> Server::build_backend(
   // speculative GzipIndex built on the server's decode-thread budget.
   OpenOptions oopt;
   oopt.session = options.session;
-  oopt.session.num_threads = options.decode_threads;
   return open_backend(*probe, oopt);
 }
 
@@ -561,7 +560,6 @@ bool Server::serve_request(Conn& conn, const std::string& head,
     serve::SessionOptions sopt = options_.session;
     sopt.pool = &decode_pool_;
     sopt.buffer_pool = &buffers_;
-    sopt.num_threads = 0;
     if (sopt.retry.deadline_us == 0 && options_.request_deadline_ms > 0) {
       sopt.retry.deadline_us =
           static_cast<std::uint64_t>(options_.request_deadline_ms) * 1000;

@@ -90,12 +90,12 @@ struct ServeOptions {
   /// Serve reads over damaged blocks zero-filled (206/200 +
   /// X-Gomp-Degraded) instead of failing them with 502.
   bool degraded = false;
-  /// Per-connection DecodeSession tuning. num_threads is ignored — all
-  /// sessions share the server's decode pool. Decode knobs (checksums,
-  /// strategy) belong to the backend the server is given.
+  /// Per-connection DecodeSession tuning. num_threads sizes the one
+  /// decode pool every session shares (0 = hardware concurrency), which
+  /// also builds a gzip index when the server sniffs the archive itself.
+  /// Decode knobs (checksums, strategy) belong to the backend the server
+  /// is given.
   serve::SessionOptions session;
-  /// Workers on the shared decode pool (0 = hardware concurrency).
-  std::size_t decode_threads = 0;
 };
 
 /// Monotonic per-server counters (the process-wide net.* metrics

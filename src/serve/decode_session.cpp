@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "obs/trace.hpp"
@@ -120,13 +121,13 @@ std::size_t DecodeSession::read(MutableByteSpan dst) {
   // twice). It is distinct from mutex_ — fetch_into takes that one while
   // blocking on decodes — and is only ever acquired before it.
   util::MutexLock lock(cursor_mutex_);
-  const std::size_t n = read_impl(cursor_, dst);
+  const std::size_t n = read_blocks(cursor_, dst, nullptr);
   cursor_ += n;
   return n;
 }
 
 std::size_t DecodeSession::read_at(std::uint64_t offset, MutableByteSpan dst) {
-  return read_impl(offset, dst);
+  return read_blocks(offset, dst, nullptr);
 }
 
 Bytes DecodeSession::read_bytes_at(std::uint64_t offset, std::size_t length) {
@@ -138,34 +139,19 @@ Bytes DecodeSession::read_bytes_at(std::uint64_t offset, std::size_t length) {
                       : static_cast<std::size_t>(
                             std::min<std::uint64_t>(length, total - offset));
   Bytes out(n);
-  out.resize(read_impl(offset, MutableByteSpan(out.data(), out.size())));
+  out.resize(read_blocks(offset, MutableByteSpan(out.data(), out.size()), nullptr));
   return out;
-}
-
-std::size_t DecodeSession::read_impl(std::uint64_t offset, MutableByteSpan dst) {
-  const std::uint64_t total = size();
-  if (offset >= total || dst.empty()) return 0;
-  serve_obs().reads.add(1);
-  obs::StageScope stage("serve_read", "serve", serve_obs().read_latency_us);
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(dst.size(), total - offset));
-  std::size_t done = 0;
-  while (done < n) {
-    const std::uint64_t off = offset + done;
-    const std::size_t b = backend_->block_containing(off);
-    const BackendBlock e = backend_->block(b);
-    const std::size_t in_block = static_cast<std::size_t>(off - e.uncomp_offset);
-    const std::size_t take = std::min<std::size_t>(
-        n - done, static_cast<std::size_t>(e.uncomp_size) - in_block);
-    fetch_into(b, in_block, take, dst.data() + done);
-    done += take;
-  }
-  return n;
 }
 
 std::size_t DecodeSession::read_at_damage_tolerant(std::uint64_t offset,
                                                    MutableByteSpan dst,
                                                    DamageReport* report) {
+  DamageReport discard;
+  return read_blocks(offset, dst, report != nullptr ? report : &discard);
+}
+
+std::size_t DecodeSession::read_blocks(std::uint64_t offset, MutableByteSpan dst,
+                                       DamageReport* damage) {
   const std::uint64_t total = size();
   if (offset >= total || dst.empty()) return 0;
   serve_obs().reads.add(1);
@@ -180,43 +166,31 @@ std::size_t DecodeSession::read_at_damage_tolerant(std::uint64_t offset,
     const std::size_t in_block = static_cast<std::size_t>(off - e.uncomp_offset);
     const std::size_t take = std::min<std::size_t>(
         n - done, static_cast<std::size_t>(e.uncomp_size) - in_block);
-
-    // Known-damaged fast path: a block that already failed permanently
-    // is zero-filled without re-decoding it on every read.
-    bool damaged = false;
-    ErrorKind kind = ErrorKind::kCorruption;
-    std::string message;
-    {
+    // Known-damaged fast path (tolerant reads only): a block that already
+    // failed permanently is zero-filled without re-decoding it.
+    std::optional<BlockDamage> known;
+    if (damage != nullptr) {
       util::MutexLock lock(mutex_);
-      if (health_[b] == BlockHealth::kDamaged) {
-        damaged = true;
-        const auto it = damage_.find(b);
-        if (it != damage_.end()) {
-          kind = it->second.kind;
-          message = it->second.message;
-        }
-      }
+      const auto it = damage_.find(b);
+      if (it != damage_.end()) known = it->second;
     }
-    if (!damaged) {
+    if (!known) {
       try {
         fetch_into(b, in_block, take, dst.data() + done);
-        done += take;
-        continue;
       } catch (const Error& err) {
         // Config-class errors are API misuse, not data damage — degrade
         // only on typed failures (permanent damage, or an IoError that
         // already survived the whole RetryPolicy inside decode_task).
-        if (err.kind() == ErrorKind::kConfig) throw;
-        kind = err.kind();
-        message = err.what();
+        if (damage == nullptr || err.kind() == ErrorKind::kConfig) throw;
+        known = BlockDamage{err.kind(), err.what()};
       }
     }
-    std::memset(dst.data() + done, 0, take);
-    bump(counters_.degraded_reads, serve_obs().degraded_reads);
-    bump(counters_.bytes_zero_filled, serve_obs().bytes_zero_filled, take);
-    if (report != nullptr) {
-      report->extents.push_back(
-          DamagedExtent{off, take, b, kind, std::move(message)});
+    if (known) {
+      std::memset(dst.data() + done, 0, take);
+      bump(counters_.degraded_reads, serve_obs().degraded_reads);
+      bump(counters_.bytes_zero_filled, serve_obs().bytes_zero_filled, take);
+      damage->extents.push_back(
+          DamagedExtent{off, take, b, known->kind, std::move(known->message)});
     }
     done += take;
   }
@@ -290,96 +264,56 @@ void DecodeSession::dispatch(util::MutexLock& lock,
 void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
                                std::size_t len, std::uint8_t* out) {
   util::MutexLock lock(mutex_);
+  // A failed slot lives only while the readers that waited on it drain
+  // it; a reader arriving meanwhile never observed that failure, so it
+  // waits for the slot to go and then decodes the block afresh.
+  for (auto it = slots_.find(block);
+       it != slots_.end() && it->second->state == Slot::State::kFailed;
+       it = slots_.find(block)) {
+    ready_cv_.wait(mutex_);
+  }
   std::vector<std::uint64_t> to_run;
   schedule_locked(block, to_run);
-  const bool scheduled_here =
-      !to_run.empty() && to_run.front() == block;
+  const bool scheduled_here = !to_run.empty() && to_run.front() == block;
+  // Pin before dispatch drops the lock: a pinned slot is never evicted,
+  // and its decode failure is published to this reader, not dropped.
+  const std::shared_ptr<Slot> slot = slots_.at(block);
+  ++slot->waiters;
   dispatch(lock, to_run, block);
-  bool first_look = true;
-  while (true) {
-    const auto it = slots_.find(block);
-    if (it == slots_.end()) {
-      // Evicted between completion and consumption (possible only under
-      // heavy concurrent random access) — schedule it again.
-      to_run.clear();
-      schedule_locked(block, to_run);
-      dispatch(lock, to_run, block);
-      first_look = false;
-      continue;
-    }
-    const std::shared_ptr<Slot> slot = it->second;
-    if (slot->state == Slot::State::kReady) {
-      if (first_look && !scheduled_here)
-        bump(counters_.cache_hits, serve_obs().cache_hits);
-      lru_.erase(slot->lru_it);
-      lru_.push_front(block);
-      slot->lru_it = lru_.begin();
-      bump(counters_.bytes_delivered, serve_obs().bytes_delivered, len);
-      // Pin the slot and copy outside the lock: a block-sized memcpy
-      // under mutex_ would serialize concurrent readers and stall every
-      // decode task trying to publish. Eviction skips slots with
-      // waiters != 0, so the buffer cannot be released mid-copy.
-      ++slot->waiters;
-      lock.unlock();
-      std::memcpy(out, slot->data.data() + begin, len);
-      lock.lock();
-      --slot->waiters;
-      return;
-    }
-    if (slot->state == Slot::State::kFailed) {
-      // Failure is delivered, not cached: drop the slot (once no other
-      // reader is still draining it) so a later read retries the block —
-      // a transient I/O error must not poison the session for its
-      // lifetime, and failed slots must not accumulate. A stale failure
-      // from a lookahead decode this reader never observed (neither
-      // scheduled nor waited on) gets one transparent retry first, so a
-      // fault that already cleared does not abort an unrelated read;
-      // the retry's own failure is delivered (first_look is false then),
-      // which bounds it to one attempt.
-      if (first_look && !scheduled_here) {
-        if (slot->waiters != 0) {
-          // Other readers are still draining the failed slot (woken but
-          // not yet past their decrement). The retry is deferred, not
-          // skipped: wait for the last of them to drop the slot instead
-          // of rethrowing an error this reader never observed.
-          while (true) {
-            const auto cur = slots_.find(block);
-            if (cur == slots_.end() || cur->second != slot ||
-                slot->waiters == 0) {
-              break;
-            }
-            ready_cv_.wait(mutex_);
-          }
-          continue;
-        }
-        slots_.erase(block);
-        to_run.clear();
-        schedule_locked(block, to_run);
-        dispatch(lock, to_run, block);
-        first_look = false;
-        continue;
-      }
-      // Copy the failure record out of the slot before dropping it, then
-      // raise a FRESH exception: delivering one shared exception object
-      // to concurrent readers races its destruction (see Slot).
-      const bool typed = slot->error_typed;
-      const ErrorKind kind = slot->error_kind;
-      const std::string what = slot->error_what;
-      const std::exception_ptr error = slot->error;
-      if (slot->waiters == 0) {
-        slots_.erase(block);
-        // A deferred-retry reader may be waiting for this drain.
-        ready_cv_.notify_all();
-      }
-      if (typed) throw_error(kind, what);
-      std::rethrow_exception(error);
-    }
-    ++slot->waiters;
+  if (slot->state == Slot::State::kScheduled) {
     bump(counters_.decode_waits, serve_obs().decode_waits);
     while (slot->state == Slot::State::kScheduled) ready_cv_.wait(mutex_);
-    --slot->waiters;
-    first_look = false;
+  } else if (slot->state == Slot::State::kReady && !scheduled_here) {
+    bump(counters_.cache_hits, serve_obs().cache_hits);
   }
+  if (slot->state == Slot::State::kReady) {
+    lru_.erase(slot->lru_it);
+    lru_.push_front(block);
+    slot->lru_it = lru_.begin();
+    bump(counters_.bytes_delivered, serve_obs().bytes_delivered, len);
+    // Copy outside the lock, still pinned: a block-sized memcpy under
+    // mutex_ would serialize concurrent readers and stall every decode
+    // task trying to publish.
+    lock.unlock();
+    std::memcpy(out, slot->data.data() + begin, len);
+    lock.lock();
+    --slot->waiters;
+    return;
+  }
+  // kFailed. Copy the failure record out before the last reader drops
+  // the slot, then raise a FRESH exception: delivering one shared
+  // exception object to concurrent readers races its destruction (see
+  // Slot).
+  const bool typed = slot->error_typed;
+  const ErrorKind kind = slot->error_kind;
+  const std::string what = slot->error_what;
+  const std::exception_ptr error = slot->error;
+  if (--slot->waiters == 0) {
+    slots_.erase(block);
+    ready_cv_.notify_all();  // readers waiting for the slot to go
+  }
+  if (typed) throw_error(kind, what);
+  std::rethrow_exception(error);
 }
 
 void DecodeSession::backoff_sleep(std::uint64_t us) {
@@ -469,14 +403,21 @@ void DecodeSession::decode_task(std::uint64_t block) {
       health_[static_cast<std::size_t>(block)] = BlockHealth::kDamaged;
       damage_[block] = BlockDamage{kind, what};
     }
-    Slot& slot = *slots_.at(block);
-    slot.state = Slot::State::kFailed;
-    slot.error_typed = typed;
-    slot.error_kind = kind;
-    slot.error_what = std::move(what);
-    slot.error = untyped;
     --inflight_;
     bump(counters_.decode_failures, serve_obs().decode_failures);
+    const auto it = slots_.find(block);
+    if (it->second->waiters == 0) {
+      // A lookahead no reader pinned: the failure is not cached, so a
+      // later read of the block decodes it afresh.
+      slots_.erase(it);
+    } else {
+      Slot& slot = *it->second;
+      slot.state = Slot::State::kFailed;
+      slot.error_typed = typed;
+      slot.error_kind = kind;
+      slot.error_what = std::move(what);
+      slot.error = untyped;
+    }
     ready_cv_.notify_all();
     return;
   }

@@ -26,6 +26,14 @@
 // while max_inflight_blocks decodes are pending, and the pool's bounded
 // task queue backstops even that.
 //
+// Failures are delivered, never cached. A reader pins the block it
+// demands before its decode can finish; a failed decode is published
+// only to the readers pinning it, and the last of them drops the slot.
+// A lookahead decode that fails with no reader pinned leaves no slot
+// behind (only the counters and block health record it). So the next
+// read of a failed block decodes it afresh, and a transient I/O error
+// never poisons the session.
+//
 // Thread safety: read_at() may be called from many threads concurrently
 // (each concurrent reader adds at most one demanded block beyond the
 // window to the bound above). read()/seek()/tell() share one cursor
@@ -242,8 +250,8 @@ class DecodeSession {
     enum class State { kScheduled, kReady, kFailed };
     State state = State::kScheduled;
     util::PooledBuffer data;            // valid when kReady
-    // Failure record, valid when kFailed (delivered to current waiters,
-    // then dropped so a later read retries the block). A classified
+    // Failure record, valid when kFailed (delivered to the pinning
+    // readers; the last one drops the slot). A classified
     // failure is stored as (kind, message) and re-raised as a FRESH
     // exception per delivery — publishing one exception_ptr to many
     // readers makes concurrent rethrows share the object (libstdc++),
@@ -254,8 +262,8 @@ class DecodeSession {
     ErrorKind error_kind = ErrorKind::kConfig;
     std::string error_what;
     std::exception_ptr error;           // unclassified failures only
-    int waiters = 0;                    // readers blocked on or pinning this
-                                        // block (eviction skips pinned slots)
+    int waiters = 0;                    // readers pinning this block (eviction
+                                        // skips pinned slots)
     std::list<std::uint64_t>::iterator lru_it{};  // valid when kReady
   };
 
@@ -283,8 +291,11 @@ class DecodeSession {
   };
 
   void backoff_sleep(std::uint64_t us);
-  std::size_t read_impl(std::uint64_t offset, MutableByteSpan dst)
-      EXCLUDES(mutex_);
+  /// The one block walk behind every read. `damage` null: a plain read,
+  /// decode errors propagate. Non-null: damage-tolerant, a damaged
+  /// block is zero-filled and appended to `damage`.
+  std::size_t read_blocks(std::uint64_t offset, MutableByteSpan dst,
+                          DamageReport* damage) EXCLUDES(mutex_);
   void fetch_into(std::uint64_t block, std::size_t begin, std::size_t len,
                   std::uint8_t* out) EXCLUDES(mutex_);
   void schedule_locked(std::uint64_t first, std::vector<std::uint64_t>& to_run)

@@ -280,7 +280,7 @@ TEST(Chaos, ServeSoakKeepsTaxonomyAndBytesUnderFaultsAndOverload) {
     net::ServeOptions opt;
     opt.port = 0;
     opt.worker_threads = 2;
-    opt.decode_threads = 1;
+    opt.session.num_threads = 1;
     opt.pending_requests = 4;            // forces queue pressure
     opt.max_response_bytes = 64 * 1024;  // whole-archive GETs must shed
     opt.degraded = degraded;

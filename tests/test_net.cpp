@@ -162,7 +162,7 @@ struct ServerFixture {
     net::ServeOptions opt;
     opt.port = 0;  // ephemeral
     opt.worker_threads = 2;
-    opt.decode_threads = 1;  // synchronous decode, deterministic
+    opt.session.num_threads = 1;  // synchronous decode, deterministic
     return opt;
   }
 };

@@ -10,6 +10,7 @@
 #include "datagen/datasets.hpp"
 #include "format/header.hpp"
 #include "obs/metrics.hpp"
+#include "util/varint.hpp"
 
 namespace gompresso {
 namespace {
@@ -257,6 +258,37 @@ TEST(Stream, NonSeekableImplausibleBlockSizeRejected) {
   cin.clear();
   std::ostringstream out;
   EXPECT_THROW(decompress_stream(cin, out), Error);
+}
+
+TEST(Stream, NonSeekableMalformedFramingIsFormatError) {
+  // Framing the pipe decoder rejects is malformed data, typed as
+  // FormatError the way SeekIndex::build types the same framing on a
+  // seekable input, not the API-misuse kind a plain Error carries.
+  const auto expect_format_error = [](const Bytes& data, const char* what) {
+    SCOPED_TRACE(what);
+    SequentialBuf buf(std::string(data.begin(), data.end()));
+    std::istream cin(&buf);
+    cin.clear();
+    std::ostringstream out;
+    EXPECT_THROW(decompress_stream(cin, out), FormatError);
+  };
+
+  Bytes huge_segment;
+  put_u32le(huge_segment, kStreamMagic);
+  put_varint(huge_segment, (1ull << 40) + 1);
+  expect_format_error(huge_segment, "segment size above 2^40");
+
+  // A real container header behind a segment size of one byte.
+  const Bytes file = compress(datagen::wikipedia(10000), {});
+  Bytes short_segment;
+  put_u32le(short_segment, kStreamMagic);
+  put_varint(short_segment, 1);
+  short_segment.insert(short_segment.end(), file.begin(), file.end());
+  expect_format_error(short_segment, "segment shorter than its header");
+
+  format::FileHeader h;
+  h.block_size = (1u << 30) + 1;
+  expect_format_error(h.serialize(), "bare header with a block above 1 GiB");
 }
 
 TEST(Stream, NonSeekableTruncatedInputThrows) {
