@@ -11,6 +11,9 @@
 //     through pool buffers.
 //   * correctness (hard): the streamed bytes and randomized read_at
 //     slices are byte-identical to batch decompress() output.
+//   * random-read decode counts (hard): random 64 KiB read_at probes
+//     schedule no lookahead and decode no block outside their ranges.
+//     Counts, not timings, so the gate means the same on any host.
 //   * throughput (timing): sequential streaming >= 0.8x batch decode.
 //     Like bench_decode_hotpath's 1.5x gate, CI treats a timing-gate
 //     failure on shared runners as a warning; the JSON is written first.
@@ -174,6 +177,8 @@ int main(int argc, char** argv) {
     // Correctness: randomized read_at against batch-decode slices (the
     // ISSUE-2 acceptance fuzz at bench scale).
     std::uint64_t probes = 0;
+    std::uint64_t covered_blocks = 0;  // summed over probes, repeats included
+    const serve::ContainerBackend& backend = session->backend();
     const double random_sec = time_median_of(reps, [&] {
       for (int i = 0; i < 64; ++i) {
         const std::uint64_t off = rng.next_below(input.size());
@@ -184,12 +189,27 @@ int main(int argc, char** argv) {
         check(std::memcmp(got.data(), input.data() + off, n) == 0,
               "bench: read_at bytes differ from batch decode");
         probes += n;
+        covered_blocks += backend.block_containing(off + n - 1) -
+                          backend.block_containing(off) + 1;
       }
     });
     report.add("serve/random_64k", random_sec, probes / (reps + 1));
     std::printf("%-28s %14.1f MB/s\n", "serve/random_64k",
                 probes / (reps + 1) / 1e6 / random_sec);
     assert_memory_bound(*session, sopt, "serve/random_64k");
+    // Count gate (hard, host-independent): random probes never continue
+    // a sequential run, so they must decode no lookahead and no block
+    // outside their own ranges.
+    const serve::SessionStats st = session->stats();
+    std::printf("%-28s %llu blocks decoded for %llu covered, %llu prefetched\n",
+                "serve/random_64k",
+                static_cast<unsigned long long>(st.blocks_decoded),
+                static_cast<unsigned long long>(covered_blocks),
+                static_cast<unsigned long long>(st.prefetch_decodes));
+    check(st.prefetch_decodes == 0,
+          "bench: random read_at probes scheduled lookahead decodes");
+    check(st.blocks_decoded <= covered_blocks,
+          "bench: random read_at probes decoded blocks outside their ranges");
   }
 
   // --- cold-seek latency -------------------------------------------------

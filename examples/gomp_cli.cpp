@@ -250,6 +250,15 @@ class TraceGuard {
   bool done_ = false;
 };
 
+/// Read amplification: decoded bytes per delivered byte (0 before any
+/// delivery).
+double amplification(const serve::SessionStats& st) {
+  return st.bytes_delivered > 0
+             ? static_cast<double>(st.decoded_bytes) /
+                   static_cast<double>(st.bytes_delivered)
+             : 0.0;
+}
+
 /// `seconds` covers the whole operation, open and index build included;
 /// `open_seconds` is the open share of it.
 void print_session_stats(const DecodeSession& session, std::uint64_t bytes,
@@ -258,13 +267,13 @@ void print_session_stats(const DecodeSession& session, std::uint64_t bytes,
   std::fprintf(stderr,
                "%llu bytes in %.3fs (%.1f MB/s, open %.3fs), %zu blocks indexed, "
                "%llu decoded, %llu cache hits, %llu evictions, "
-               "peak pooled %.1f MiB\n",
+               "amplification=%.2fx, peak pooled %.1f MiB\n",
                static_cast<unsigned long long>(bytes), seconds,
                seconds > 0 ? bytes / 1e6 / seconds : 0.0, open_seconds,
                session.num_blocks(),
                static_cast<unsigned long long>(st.blocks_decoded),
                static_cast<unsigned long long>(st.cache_hits),
-               static_cast<unsigned long long>(st.evictions),
+               static_cast<unsigned long long>(st.evictions), amplification(st),
                st.pool.peak_outstanding_bytes / 1048576.0);
   if (st.transient_errors > 0 || st.permanent_errors > 0) {
     std::fprintf(stderr,
@@ -668,7 +677,8 @@ void append_session_json(std::string& out, const serve::SessionStats& st) {
       buf, sizeof buf,
       "{\"blocks_decoded\":%llu,\"cache_hits\":%llu,\"demand_decodes\":%llu,"
       "\"prefetch_decodes\":%llu,\"decode_waits\":%llu,\"decode_failures\":%llu,"
-      "\"evictions\":%llu,\"bytes_delivered\":%llu,\"retries\":%llu,"
+      "\"evictions\":%llu,\"bytes_delivered\":%llu,\"decoded_bytes\":%llu,"
+      "\"retries\":%llu,"
       "\"transient_errors\":%llu,\"permanent_errors\":%llu,"
       "\"degraded_reads\":%llu,\"bytes_zero_filled\":%llu,"
       "\"pool_peak_bytes\":%llu}",
@@ -680,6 +690,7 @@ void append_session_json(std::string& out, const serve::SessionStats& st) {
       static_cast<unsigned long long>(st.decode_failures),
       static_cast<unsigned long long>(st.evictions),
       static_cast<unsigned long long>(st.bytes_delivered),
+      static_cast<unsigned long long>(st.decoded_bytes),
       static_cast<unsigned long long>(st.retries),
       static_cast<unsigned long long>(st.transient_errors),
       static_cast<unsigned long long>(st.permanent_errors),
@@ -764,14 +775,15 @@ int cmd_stats(int argc, char** argv) {
               seconds, seconds > 0 ? total / 1e6 / seconds : 0.0, open_seconds,
               blocks);
   std::printf("session: decoded=%llu hits=%llu demand=%llu prefetch=%llu "
-              "waits=%llu evictions=%llu failures=%llu\n",
+              "waits=%llu evictions=%llu failures=%llu amplification=%.2fx\n",
               static_cast<unsigned long long>(st.blocks_decoded),
               static_cast<unsigned long long>(st.cache_hits),
               static_cast<unsigned long long>(st.demand_decodes),
               static_cast<unsigned long long>(st.prefetch_decodes),
               static_cast<unsigned long long>(st.decode_waits),
               static_cast<unsigned long long>(st.evictions),
-              static_cast<unsigned long long>(st.decode_failures));
+              static_cast<unsigned long long>(st.decode_failures),
+              amplification(st));
   std::printf("metrics:\n");
   for (const obs::MetricValue& m : snap.metrics) {
     switch (m.kind) {

@@ -1,5 +1,6 @@
 #include "serve/decode_session.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <optional>
@@ -31,6 +32,8 @@ struct ServeObs {
   obs::Counter evictions = obs::registry().counter("serve.evictions", "blocks");
   obs::Counter bytes_delivered =
       obs::registry().counter("serve.bytes_delivered", "bytes");
+  obs::Counter decoded_bytes =
+      obs::registry().counter("serve.decoded_bytes", "bytes");
   obs::Counter retries = obs::registry().counter("serve.retries", "retries");
   obs::Counter transient_errors =
       obs::registry().counter("serve.transient_errors", "errors");
@@ -113,6 +116,7 @@ std::uint64_t DecodeSession::tell() const {
 void DecodeSession::seek(std::uint64_t offset) {
   util::MutexLock lock(cursor_mutex_);
   cursor_ = offset;
+  run_end_.store(offset);
 }
 
 std::size_t DecodeSession::read(MutableByteSpan dst) {
@@ -158,6 +162,11 @@ std::size_t DecodeSession::read_blocks(std::uint64_t offset, MutableByteSpan dst
   obs::StageScope stage("serve_read", "serve", serve_obs().read_latency_us);
   const std::size_t n = static_cast<std::size_t>(
       std::min<std::uint64_t>(dst.size(), total - offset));
+  // Only a read continuing the sequential run looks past its own range.
+  const bool sequential = run_end_.exchange(offset + n) == offset;
+  ReadPlan plan;
+  plan.range_end = backend_->block_containing(offset + n - 1) + 1;
+  plan.schedule_end = sequential ? backend_->num_blocks() : plan.range_end;
   std::size_t done = 0;
   while (done < n) {
     const std::uint64_t off = offset + done;
@@ -176,7 +185,7 @@ std::size_t DecodeSession::read_blocks(std::uint64_t offset, MutableByteSpan dst
     }
     if (!known) {
       try {
-        fetch_into(b, in_block, take, dst.data() + done);
+        fetch_into(b, in_block, take, dst.data() + done, plan);
       } catch (const Error& err) {
         // Config-class errors are API misuse, not data damage — degrade
         // only on typed failures (permanent damage, or an IoError that
@@ -216,13 +225,12 @@ BlockHealth DecodeSession::block_health(std::size_t b) const {
   return health_[b];
 }
 
-void DecodeSession::schedule_locked(std::uint64_t first,
+void DecodeSession::schedule_locked(std::uint64_t first, std::uint64_t end,
                                     std::vector<std::uint64_t>& to_run) {
-  const std::uint64_t end_block = backend_->num_blocks();
   // Subtractive window bound: `first + window_` could wrap for an absurd
   // max_inflight_blocks (e.g. CLI --inflight -1 wrapping through stoul)
   // and turn the demanded block's scheduling into a livelock.
-  for (std::uint64_t b = first; b < end_block && b - first < window_; ++b) {
+  for (std::uint64_t b = first; b < end && b - first < window_; ++b) {
     if (slots_.find(b) != slots_.end()) continue;
     // The demanded block is always scheduled; lookahead stops at the
     // in-flight cap (the pipeline's backpressure).
@@ -238,14 +246,16 @@ void DecodeSession::schedule_locked(std::uint64_t first,
 // entry and get it back on return.
 void DecodeSession::dispatch(util::MutexLock& lock,
                              const std::vector<std::uint64_t>& to_run,
-                             std::uint64_t demanded) NO_THREAD_SAFETY_ANALYSIS {
+                             std::uint64_t range_end) NO_THREAD_SAFETY_ANALYSIS {
   if (to_run.empty()) return;
-  // The demanded block is demand-driven work even when a pool worker
-  // runs it (the reader is about to block on it); only the lookahead
-  // beyond it is prefetch. schedule_locked puts the demanded block
-  // first when it schedules it at all.
-  const std::size_t demand = to_run.front() == demanded ? 1 : 0;
-  if (demand != 0) bump(counters_.demand_decodes, serve_obs().demand_decodes);
+  // Blocks inside the read's range are demand-driven work even when a
+  // pool worker runs them (the reader will block on each); only the
+  // lookahead past the range's end is prefetch. to_run is ascending.
+  const std::size_t demand = static_cast<std::size_t>(
+      std::lower_bound(to_run.begin(), to_run.end(), range_end) - to_run.begin());
+  if (demand != 0) {
+    bump(counters_.demand_decodes, serve_obs().demand_decodes, demand);
+  }
   if (to_run.size() > demand) {
     bump(counters_.prefetch_decodes, serve_obs().prefetch_decodes,
          to_run.size() - demand);
@@ -262,7 +272,8 @@ void DecodeSession::dispatch(util::MutexLock& lock,
 }
 
 void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
-                               std::size_t len, std::uint8_t* out) {
+                               std::size_t len, std::uint8_t* out,
+                               const ReadPlan& plan) {
   util::MutexLock lock(mutex_);
   // A failed slot lives only while the readers that waited on it drain
   // it; a reader arriving meanwhile never observed that failure, so it
@@ -273,13 +284,13 @@ void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
     ready_cv_.wait(mutex_);
   }
   std::vector<std::uint64_t> to_run;
-  schedule_locked(block, to_run);
+  schedule_locked(block, plan.schedule_end, to_run);
   const bool scheduled_here = !to_run.empty() && to_run.front() == block;
   // Pin before dispatch drops the lock: a pinned slot is never evicted,
   // and its decode failure is published to this reader, not dropped.
   const std::shared_ptr<Slot> slot = slots_.at(block);
   ++slot->waiters;
-  dispatch(lock, to_run, block);
+  dispatch(lock, to_run, plan.range_end);
   if (slot->state == Slot::State::kScheduled) {
     bump(counters_.decode_waits, serve_obs().decode_waits);
     while (slot->state == Slot::State::kScheduled) ready_cv_.wait(mutex_);
@@ -357,6 +368,7 @@ void DecodeSession::decode_task(std::uint64_t block) {
       --inflight_;
       ++ready_count_;
       bump(counters_.blocks_decoded, serve_obs().blocks_decoded);
+      bump(counters_.decoded_bytes, serve_obs().decoded_bytes, e.uncomp_size);
       lru_.push_front(block);
       slot.lru_it = lru_.begin();
       evict_excess_locked();
@@ -460,6 +472,7 @@ SessionStats DecodeSession::stats() const {
   s.decode_failures = load(c.decode_failures);
   s.evictions = load(c.evictions);
   s.bytes_delivered = load(c.bytes_delivered);
+  s.decoded_bytes = load(c.decoded_bytes);
   s.retries = load(c.retries);
   s.transient_errors = load(c.transient_errors);
   s.permanent_errors = load(c.permanent_errors);

@@ -26,6 +26,15 @@
 // while max_inflight_blocks decodes are pending, and the pool's bounded
 // task queue backstops even that.
 //
+// Lookahead follows the access pattern. A read that starts where the
+// session's previous read ended (or at the offset of the last seek(),
+// or at 0 on a fresh session) continues a sequential run and schedules
+// the full window from its first block — read(), `gomp cat`,
+// verify_archive() and a client walking a file in consecutive ranges
+// all do. Any other read schedules only the blocks its own range
+// covers, still up to max_inflight_blocks at a time, so a random 64 KiB
+// range decodes its one block and nothing nobody asked for.
+//
 // Failures are delivered, never cached. A reader pins the block it
 // demands before its decode can finish; a failed decode is published
 // only to the readers pinning it, and the last of them drops the slot.
@@ -104,7 +113,9 @@ struct SessionOptions {
   /// Sliding window of blocks decoded ahead of the reader (including the
   /// block being read). With spawned pool workers this is the prefetch
   /// pipeline depth; without them decode happens on the calling thread
-  /// and the window is effectively 1.
+  /// and the window is effectively 1. Only a read that continues a
+  /// sequential run looks past its own range; any other read keeps at
+  /// most this many of its own blocks in flight.
   std::size_t max_inflight_blocks = 4;
   /// Decoded-block LRU capacity. Rounded up to max_inflight_blocks so
   /// the prefetch window can never thrash its own output.
@@ -159,12 +170,13 @@ enum class BlockHealth : std::uint8_t {
 struct SessionStats {
   std::uint64_t blocks_decoded = 0;   // decode tasks completed
   std::uint64_t cache_hits = 0;       // reads served from an already-decoded block
-  std::uint64_t demand_decodes = 0;   // blocks a reader demanded (and waited on)
-  std::uint64_t prefetch_decodes = 0; // lookahead blocks decoded ahead of demand
+  std::uint64_t demand_decodes = 0;   // scheduled blocks inside the read's range
+  std::uint64_t prefetch_decodes = 0; // lookahead blocks past the read's end
   std::uint64_t decode_waits = 0;     // reader blocked on an in-flight block
   std::uint64_t decode_failures = 0;  // decode tasks that ended in an error
   std::uint64_t evictions = 0;        // decoded blocks dropped by the LRU
   std::uint64_t bytes_delivered = 0;
+  std::uint64_t decoded_bytes = 0;    // uncompressed bytes of decoded blocks
   std::uint64_t retries = 0;           // backoff retries after transient errors
   std::uint64_t transient_errors = 0;  // IoError observations (incl. retried-away)
   std::uint64_t permanent_errors = 0;  // corruption/format decode failures
@@ -193,11 +205,14 @@ class DecodeSession {
 
   /// Sequential read at the session cursor; advances it. Returns the
   /// number of bytes produced — short only at end of data, 0 at or past
-  /// the end. Prefetches the upcoming window.
+  /// the end. Prefetches the upcoming window while the reads continue a
+  /// sequential run.
   std::size_t read(MutableByteSpan dst) EXCLUDES(cursor_mutex_);
 
   /// Positional read, cursor untouched; same return convention. Decoded
   /// blocks stay in the LRU, so re-reads of warm ranges do not decode.
+  /// Decodes only the blocks the range covers, unless the read continues
+  /// a sequential run (see the file comment).
   std::size_t read_at(std::uint64_t offset, MutableByteSpan dst);
 
   /// Convenience: positional read returning the bytes (shorter than
@@ -283,6 +298,7 @@ class DecodeSession {
     std::atomic<std::uint64_t> decode_failures{0};
     std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> bytes_delivered{0};
+    std::atomic<std::uint64_t> decoded_bytes{0};
     std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> transient_errors{0};
     std::atomic<std::uint64_t> permanent_errors{0};
@@ -296,16 +312,24 @@ class DecodeSession {
   /// block is zero-filled and appended to `damage`.
   std::size_t read_blocks(std::uint64_t offset, MutableByteSpan dst,
                           DamageReport* damage) EXCLUDES(mutex_);
+  /// Which blocks one read may schedule: blocks below `range_end` lie
+  /// inside its range (demand), blocks from there up to
+  /// `schedule_end` are lookahead (prefetch). Both are exclusive ends.
+  struct ReadPlan {
+    std::uint64_t range_end = 0;
+    std::uint64_t schedule_end = 0;
+  };
+
   void fetch_into(std::uint64_t block, std::size_t begin, std::size_t len,
-                  std::uint8_t* out) EXCLUDES(mutex_);
-  void schedule_locked(std::uint64_t first, std::vector<std::uint64_t>& to_run)
-      REQUIRES(mutex_);
+                  std::uint8_t* out, const ReadPlan& plan) EXCLUDES(mutex_);
+  void schedule_locked(std::uint64_t first, std::uint64_t end,
+                       std::vector<std::uint64_t>& to_run) REQUIRES(mutex_);
   // Drops and reacquires `lock` (which guards mutex_) around the task
   // submissions. The analysis cannot follow a capability through a
   // reference parameter, so the definition opts out; callers are still
   // checked against the REQUIRES.
   void dispatch(util::MutexLock& lock, const std::vector<std::uint64_t>& to_run,
-                std::uint64_t demanded) REQUIRES(mutex_);
+                std::uint64_t range_end) REQUIRES(mutex_);
   void decode_task(std::uint64_t block) EXCLUDES(mutex_);
   void evict_excess_locked() REQUIRES(mutex_);
 
@@ -334,6 +358,9 @@ class DecodeSession {
   std::size_t inflight_ GUARDED_BY(mutex_) = 0;     // slots in kScheduled state
   std::size_t ready_count_ GUARDED_BY(mutex_) = 0;  // slots in kReady state
   std::uint64_t cursor_ GUARDED_BY(cursor_mutex_) = 0;
+  /// Where a read continuing the sequential run starts: the end of the
+  /// previous read, or the last seek() target.
+  std::atomic<std::uint64_t> run_end_{0};
   AtomicCounters counters_;
   std::vector<BlockHealth> health_ GUARDED_BY(mutex_);  // per block
   std::unordered_map<std::uint64_t, BlockDamage> damage_

@@ -18,6 +18,7 @@
 #include "datagen/datasets.hpp"
 #include "net/http.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "serve/fault_source.hpp"
 #include "util/socket.hpp"
 
@@ -145,10 +146,11 @@ struct ServerFixture {
   Bytes input;
   Bytes file;
 
-  explicit ServerFixture(std::size_t size = 120000) {
+  explicit ServerFixture(std::size_t size = 120000,
+                         std::uint32_t block_size = 16 * 1024) {
     input = datagen::wikipedia(size);
     CompressOptions copt;
-    copt.block_size = 16 * 1024;
+    copt.block_size = block_size;
     file = compress(input, copt);
   }
 
@@ -460,6 +462,41 @@ TEST(ServeNet, GracefulDrainStopsAcceptingAndJoins) {
   }
   EXPECT_TRUE(refused);
   server.stop();  // idempotent
+}
+
+TEST(ServeNet, RandomRangeGetDecodesOnlyTheBlocksItCovers) {
+  // 128 KiB blocks with a 4-block lookahead window on real workers: a
+  // 64 KiB range that does not continue a sequential run decodes the
+  // one block it lies in (two when it straddles a boundary), not the
+  // whole window.
+  constexpr std::uint64_t kBlock = 128 * 1024;
+  const ServerFixture f(8 * kBlock, static_cast<std::uint32_t>(kBlock));
+  net::ServeOptions opt = f.options();
+  opt.session.num_threads = 4;
+  opt.session.max_inflight_blocks = 4;
+  const auto blocks_for_range = [&](std::uint64_t first) {
+    const std::uint64_t before =
+        obs::metrics_snapshot().counter("serve.blocks_decoded");
+    {
+      net::Server server(f.factory(), opt);
+      server.start();
+      net::HttpClient client(server.port());
+      net::HttpResponse resp;
+      const std::uint64_t last = first + 64 * 1024 - 1;
+      EXPECT_TRUE(client.get("/archive",
+                             {"Range: bytes=" + std::to_string(first) + "-" +
+                              std::to_string(last)},
+                             resp));
+      EXPECT_EQ(resp.status, 206);
+      EXPECT_TRUE(resp.body.size() == last - first + 1 &&
+                  std::equal(resp.body.begin(), resp.body.end(),
+                             f.input.begin() + static_cast<long>(first)));
+      server.stop();  // joins the sessions, so no decode is still in flight
+    }
+    return obs::metrics_snapshot().counter("serve.blocks_decoded") - before;
+  };
+  EXPECT_EQ(blocks_for_range(3 * kBlock + 1000), 1u);
+  EXPECT_EQ(blocks_for_range(4 * kBlock - 1000), 2u);
 }
 
 TEST(ServeNet, SharedPoolsBoundMemoryAcrossConnections) {

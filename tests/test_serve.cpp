@@ -286,6 +286,110 @@ TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
   EXPECT_EQ(st.demand_decodes + st.prefetch_decodes, st.blocks_decoded);
 }
 
+// Lookahead only pays when the next read is predictable: a read that
+// does not continue the session's sequential run decodes exactly the
+// blocks its own range covers, and counts them all as demand.
+serve::SessionOptions pipelined_options() {
+  serve::SessionOptions opt;
+  opt.num_threads = 4;  // real workers even on a 1-vCPU host
+  opt.max_inflight_blocks = 4;
+  return opt;
+}
+
+TEST(DecodeSession, RandomReadInsideOneBlockDecodesOnlyThatBlock) {
+  const Fixture f(400000, 16 * 1024);
+  auto session = f.session(pipelined_options());
+  ASSERT_GE(session->num_blocks(), 20u);
+  const serve::BackendBlock mid = session->block_extent(10);
+  Bytes got(1000);
+  ASSERT_EQ(session->read_at(mid.uncomp_offset + 100,
+                             MutableByteSpan(got.data(), got.size())),
+            got.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                         f.input.begin() + static_cast<long>(mid.uncomp_offset + 100)));
+  const serve::SessionStats st = session->stats();
+  EXPECT_EQ(st.demand_decodes, 1u);
+  EXPECT_EQ(st.prefetch_decodes, 0u);
+  EXPECT_EQ(st.blocks_decoded, 1u);
+  EXPECT_EQ(st.decoded_bytes, mid.uncomp_size);
+}
+
+TEST(DecodeSession, RandomReadStraddlingABoundaryDecodesBothBlocksAsDemand) {
+  const Fixture f(400000, 16 * 1024);
+  auto session = f.session(pipelined_options());
+  const std::uint64_t boundary = session->block_extent(10).uncomp_offset;
+  Bytes got(2000);
+  ASSERT_EQ(session->read_at(boundary - 1000, MutableByteSpan(got.data(), got.size())),
+            got.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                         f.input.begin() + static_cast<long>(boundary - 1000)));
+  const serve::SessionStats st = session->stats();
+  EXPECT_EQ(st.demand_decodes, 2u);
+  EXPECT_EQ(st.prefetch_decodes, 0u);
+  EXPECT_EQ(st.blocks_decoded, 2u);
+}
+
+TEST(DecodeSession, ConsecutiveReadAtCallsKeepTheLookahead) {
+  const Fixture f(400000, 16 * 1024);
+  auto session = f.session(pipelined_options());
+  const std::uint64_t start = 100000;  // mid-file: the first read is random
+  Bytes got(5000);
+  for (std::uint64_t off = start; off < start + 20 * got.size(); off += got.size()) {
+    ASSERT_EQ(session->read_at(off, MutableByteSpan(got.data(), got.size())),
+              got.size());
+    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                           f.input.begin() + static_cast<long>(off)))
+        << "offset " << off;
+  }
+  EXPECT_GT(session->stats().prefetch_decodes, 0u);
+}
+
+TEST(DecodeSession, SeekStartsASequentialRun) {
+  const Fixture f(400000, 16 * 1024);
+  auto session = f.session(pipelined_options());
+  Bytes got(5000);
+  // A random read first, so only seek() can make the next read sequential.
+  session->read_at(300000, MutableByteSpan(got.data(), got.size()));
+  ASSERT_EQ(session->stats().prefetch_decodes, 0u);
+  session->seek(50000);
+  ASSERT_EQ(session->read(MutableByteSpan(got.data(), got.size())), got.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), f.input.begin() + 50000));
+  EXPECT_GT(session->stats().prefetch_decodes, 0u);
+  ASSERT_EQ(session->read(MutableByteSpan(got.data(), got.size())), got.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), f.input.begin() + 55000));
+}
+
+TEST(DecodeSession, VerifyArchiveKeepsTheLookahead) {
+  const Fixture f(400000, 16 * 1024);
+  auto session = f.session(pipelined_options());
+  EXPECT_TRUE(session->verify_archive().clean());
+  const serve::SessionStats st = session->stats();
+  EXPECT_GT(st.prefetch_decodes, 0u);
+  EXPECT_EQ(st.blocks_decoded, session->num_blocks());
+}
+
+TEST(DecodeSession, LargeRandomReadPipelinesOnlyItsOwnBlocks) {
+  // The 2-window/2-cache session of MemoryStaysBoundedBySmallCache, read
+  // in one non-sequential read_at: every block is decoded once, as
+  // demand, with the same memory bound.
+  const Fixture f(200000, 8 * 1024);
+  serve::SessionOptions opt;
+  opt.num_threads = 4;
+  opt.max_inflight_blocks = 2;
+  opt.cache_blocks = 2;
+  auto session = f.session(opt);
+  ASSERT_GE(session->num_blocks(), 25u);
+  Bytes all(f.input.size() - 1);
+  ASSERT_EQ(session->read_at(1, MutableByteSpan(all.data(), all.size())), all.size());
+  EXPECT_TRUE(std::equal(all.begin(), all.end(), f.input.begin() + 1));
+  const serve::SessionStats st = session->stats();
+  EXPECT_EQ(st.prefetch_decodes, 0u);
+  EXPECT_EQ(st.demand_decodes, session->num_blocks());
+  EXPECT_EQ(st.blocks_decoded, session->num_blocks());
+  EXPECT_EQ(st.decoded_bytes, f.input.size());
+  EXPECT_LE(st.pool.peak_outstanding, 2u * (2u + 1u) + 2u);
+}
+
 TEST(DecodeSession, ConcurrentRandomReadsFromManyThreads) {
   const Fixture f(300000, 16 * 1024);
   serve::SessionOptions opt;
