@@ -11,7 +11,7 @@
 //     uncontended p99 — the deadline-shedding admission controller is
 //     what makes that hold, so this gate is exercising it directly.
 //   * degraded goodput (timing): with a 1% transient-fault plan on
-//     every session's source, goodput >= 0.9x the fault-free run —
+//     the server's one source, goodput >= 0.9x the fault-free run —
 //     retries with jittered backoff absorb the faults without
 //     collapsing throughput.
 //   * correctness (hard, rides along): every 200/206 body is
@@ -203,8 +203,8 @@ int main(int argc, char** argv) {
     net::Server server(clean_factory, backend, base);
     server.start();
     // Zipf over block ranks: hot blocks dominate, the way real range
-    // traffic concentrates on popular objects — exercises the LRU cache
-    // across many sessions sharing one BufferPool.
+    // traffic concentrates on popular objects — exercises the server's
+    // one LRU cache, shared by every client connection.
     ZipfSampler zipf(backend->num_blocks(), 1.05);
     const auto zipf_off = [&](Rng& rng) {
       const std::size_t b = zipf.sample(rng);

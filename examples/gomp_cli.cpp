@@ -195,16 +195,6 @@ bool parse_session_args(int argc, char** argv, serve::SessionOptions& opt,
   return true;
 }
 
-/// Classifies the container from the source's leading bytes.
-format::ContainerKind sniff(serve::ByteSource& source) {
-  Bytes prefix(static_cast<std::size_t>(
-      std::min<std::uint64_t>(source.size(), format::kSniffBytes)));
-  if (!prefix.empty()) {
-    source.read_at(0, MutableByteSpan(prefix.data(), prefix.size()));
-  }
-  return format::sniff_container(ByteSpan(prefix.data(), prefix.size()));
-}
-
 /// Opens a session over `input_path` through gompresso::open() — the
 /// container (GMPZ, GMPS, or gzip) is sniffed from the leading bytes,
 /// and the sidecar (".gmpx" or ".gzix") is loaded when given. A
@@ -539,7 +529,7 @@ int cmd_index(int argc, char** argv) {
 
   // Sniff the container so `gomp index any.gz` writes the matching
   // sidecar flavor (".gzix" seek index vs the native ".gmpx").
-  if (sniff(*source) == format::ContainerKind::kGzip) {
+  if (sniff_source(*source) == format::ContainerKind::kGzip) {
     const std::string sidecar_path = argc == 2 ? argv[1] : input_path + ".gzix";
     ingest::GzipIndexOptions gopt;
     gopt.pool = &default_pool();
@@ -643,7 +633,7 @@ int cmd_decompress(int argc, char** argv) {
 
   const std::unique_ptr<serve::ByteSource> source =
       serve::open_file_source(input_path);
-  if (sniff(*source) != format::ContainerKind::kGmpz) {
+  if (sniff_source(*source) != format::ContainerKind::kGmpz) {
     // GMPS streams and gzip decode through the open() session, with the
     // same options (--strategy applies to every native segment).
     TraceGuard trace(trace_path);

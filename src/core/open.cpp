@@ -3,7 +3,6 @@
 #include <fstream>
 #include <iterator>
 
-#include "format/sniff.hpp"
 #include "ingest/gzip_backend.hpp"
 #include "serve/seek_index.hpp"
 #include "util/varint.hpp"
@@ -29,18 +28,19 @@ std::uint32_t sidecar_magic(ByteSpan sidecar) {
 
 }  // namespace
 
-std::shared_ptr<serve::ContainerBackend> open_backend(
-    serve::ByteSource& source, const OpenOptions& options) {
+format::ContainerKind sniff_source(serve::ByteSource& source) {
   Bytes prefix(static_cast<std::size_t>(
       std::min<std::uint64_t>(source.size(), format::kSniffBytes)));
   if (!prefix.empty()) {
     source.read_at(0, MutableByteSpan(prefix.data(), prefix.size()));
   }
-  const format::ContainerKind kind =
-      format::sniff_container(ByteSpan(prefix.data(), prefix.size()));
+  return format::sniff_container(ByteSpan(prefix.data(), prefix.size()));
+}
 
+std::shared_ptr<serve::ContainerBackend> open_backend(
+    serve::ByteSource& source, const OpenOptions& options) {
   std::shared_ptr<serve::ContainerBackend> backend;
-  switch (kind) {
+  switch (sniff_source(source)) {
     case format::ContainerKind::kGmpz:
     case format::ContainerKind::kGmps: {
       serve::SeekIndex index;
@@ -71,8 +71,7 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
       // (num_threads == 1 leaves it null: a sequential build).
       std::unique_ptr<ThreadPool> own_pool;
       if (g.pool == nullptr) {
-        g.pool = resolve_pool(options.session.num_threads, own_pool,
-                              options.session.pool);
+        g.pool = resolve_pool(options.session.num_threads, own_pool);
       }
       backend = ingest::make_gzip_backend(ingest::GzipIndex::build(source, g));
       break;

@@ -35,6 +35,7 @@
 #include <memory>
 #include <string>
 
+#include "format/sniff.hpp"
 #include "ingest/gzip_index.hpp"
 #include "serve/backend.hpp"
 #include "serve/decode_session.hpp"
@@ -55,15 +56,17 @@ struct OpenOptions {
   /// sidecar as a cache should stat it first (as `gomp` does).
   std::string sidecar_path;
   /// Gzip index-build tuning. `gzip.pool` defaults to the session's
-  /// decode pool resolution: options.session.pool if set, else a pool
-  /// sized by options.session.num_threads (0 = the shared default
-  /// pool, 1 = sequential).
+  /// decode pool resolution: a pool sized by options.session.num_threads
+  /// (0 = the shared default pool, 1 = sequential).
   ingest::GzipIndexOptions gzip;
 };
 
-/// Sniffs `source` and returns the matching backend (shared, so the
-/// net daemon can hand one backend to many sessions). Throws
-/// FormatError for an unrecognized container.
+/// The container kind `source`'s leading bytes name.
+format::ContainerKind sniff_source(serve::ByteSource& source);
+
+/// Sniffs `source` and returns the matching backend (shared: a backend
+/// may serve several sessions). Throws FormatError for an unrecognized
+/// container.
 std::shared_ptr<serve::ContainerBackend> open_backend(
     serve::ByteSource& source, const OpenOptions& options = {});
 

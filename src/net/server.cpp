@@ -66,16 +66,22 @@ constexpr char kAcceptRanges[] = "Accept-Ranges: bytes";
 Server::Server(SourceFactory factory,
                std::shared_ptr<serve::ContainerBackend> backend,
                ServeOptions options)
-    : factory_(std::move(factory)),
-      backend_(std::move(backend)),
+    : backend_(std::move(backend)),
       options_(options),
-      decode_pool_(options.session.num_threads),
       queue_(std::max<std::size_t>(options.pending_requests, 1)) {
   obs::ensure_initialized();
-  check(factory_ != nullptr, "net: serve needs a source factory");
+  check(factory != nullptr, "net: serve needs a source factory");
   check(backend_ != nullptr, "net: serve needs a container backend");
   check(options_.worker_threads > 0, "net: serve needs at least one worker");
   check(options_.max_connections > 0, "net: max_connections must be positive");
+  // The request deadline seeds the retry deadline (unless the caller set
+  // one), so backoff can never outlive the request.
+  serve::SessionOptions sopt = options_.session;
+  if (sopt.retry.deadline_us == 0 && options_.request_deadline_ms > 0) {
+    sopt.retry.deadline_us =
+        static_cast<std::uint64_t>(options_.request_deadline_ms) * 1000;
+  }
+  session_ = std::make_unique<serve::DecodeSession>(factory(), backend_, sopt);
 }
 
 std::shared_ptr<serve::ContainerBackend> Server::build_backend(
@@ -126,6 +132,9 @@ void Server::stop() {
   stop_poller_.store(true, std::memory_order_relaxed);
   wake_.wake();
   if (poller_.joinable()) poller_.join();
+  // Phase 4: no worker reads any more; waiting out the session's
+  // lookahead decodes means stop() leaves no decode task in flight.
+  session_.reset();
 }
 
 ServerStats Server::stats() const {
@@ -198,7 +207,7 @@ void Server::poller_loop() {
   const auto drop = [this](std::unique_ptr<Conn> conn) {
     live_conns_.fetch_sub(1, std::memory_order_relaxed);
     net_obs().live_connections.add(-1);
-    conn.reset();  // closes the fd, tears down the session
+    conn.reset();  // closes the fd
   };
 
   while (!stop_poller_.load(std::memory_order_relaxed)) {
@@ -256,7 +265,6 @@ void Server::poller_loop() {
         }
         auto conn = std::make_unique<Conn>();
         conn->fd = std::move(fd);
-        conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
         conn->last_activity = Clock::now();
         live_conns_.fetch_add(1, std::memory_order_relaxed);
         net_obs().live_connections.add(1);
@@ -275,7 +283,6 @@ void Server::poller_loop() {
       const bool ready =
           pf < pfds.size() && pfds[pf].fd == c->fd.get() &&
           (pfds[pf].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-      if ((pf < pfds.size() && pfds[pf].revents != 0) || !c->inbuf.empty())
       if (ready) {
         bool dead = false;
         std::uint8_t chunk[4096];
@@ -553,30 +560,6 @@ bool Server::serve_request(Conn& conn, const std::string& head,
     ~Release() { s->release_bytes(n); }
   } release{this, length};
 
-  // Lazy per-connection session on the shared decode pool + buffer
-  // pool; the request deadline seeds the retry deadline so backoff can
-  // never outlive the request.
-  if (conn.session == nullptr) {
-    serve::SessionOptions sopt = options_.session;
-    sopt.pool = &decode_pool_;
-    sopt.buffer_pool = &buffers_;
-    if (sopt.retry.deadline_us == 0 && options_.request_deadline_ms > 0) {
-      sopt.retry.deadline_us =
-          static_cast<std::uint64_t>(options_.request_deadline_ms) * 1000;
-    }
-    // De-correlate retry jitter across connections so synchronized
-    // faults do not produce synchronized retry storms.
-    sopt.retry.jitter_seed ^= conn.id * 0x9E3779B97F4A7C15ull;
-    try {
-      conn.session = std::make_unique<serve::DecodeSession>(
-          factory_(), backend_, sopt);
-    } catch (const Error& e) {
-      stats_.error_500.fetch_add(1, std::memory_order_relaxed);
-      return send_text(500, std::string("open failed: ") + e.what() + "\n",
-                       /*keep=*/false);
-    }
-  }
-
   std::string body;
   std::uint64_t degraded_bytes = 0;
   if (length > 0) {
@@ -587,10 +570,10 @@ bool Server::serve_request(Conn& conn, const std::string& head,
       std::size_t got = 0;
       if (options_.degraded) {
         serve::DamageReport report;
-        got = conn.session->read_at_damage_tolerant(first, dst, &report);
+        got = session_->read_at_damage_tolerant(first, dst, &report);
         degraded_bytes = report.damaged_bytes();
       } else {
-        got = conn.session->read_at(first, dst);
+        got = session_->read_at(first, dst);
       }
       // last < total, so a short read here is an index/source
       // inconsistency, not EOF.

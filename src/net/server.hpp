@@ -1,5 +1,5 @@
-// The range-request daemon: HTTP/1.1 byte ranges mapped onto
-// DecodeSession::read_at over one shared ThreadPool and BufferPool.
+// The range-request daemon: HTTP/1.1 byte ranges mapped onto the
+// read_at of one DecodeSession that every connection shares.
 //
 // Robustness is the design driver, and every limit is explicit:
 //
@@ -12,9 +12,9 @@
 //     ask for how much.
 //   * Deadlines. A request that waited in the queue past
 //     request_deadline_ms is shed (the client has likely given up; the
-//     decode work would be wasted). The remaining deadline seeds the
-//     per-connection session's RetryPolicy::deadline_us, so retry
-//     backoff can never outlive the request that wanted the block.
+//     decode work would be wasted). The deadline also seeds the
+//     session's RetryPolicy::deadline_us, so retry backoff can never
+//     outlive the request that wanted the block.
 //   * Slow clients. Every response write carries write_timeout_ms; a
 //     stalled peer gets its connection reaped instead of pinning a
 //     worker. Idle and half-header connections are reaped on
@@ -32,9 +32,12 @@
 // exactly one thread at a time: the poller owns it while idle, a worker
 // owns it while a request is served, and ownership moves through the
 // bounded queue (poller -> worker) and the returned_ list (worker ->
-// poller, signalled over a wake pipe). Decode parallelism is separate:
-// all per-connection DecodeSessions share one decode ThreadPool and one
-// BufferPool, whose peak counters remain the memory-bound witness.
+// poller, signalled over a wake pipe). Decode state is per server: one
+// DecodeSession, built from the backend and one factory() source, holds
+// the block cache, lookahead window, decode pool and BufferPool for all
+// connections, so decoded memory is bounded whatever the connection
+// count: (window + cache + worker_threads) x (block + max compressed
+// block). stop() ends its decode tasks after the workers join.
 #pragma once
 
 #include <atomic>
@@ -50,15 +53,14 @@
 #include "serve/backend.hpp"
 #include "serve/decode_session.hpp"
 #include "util/bounded_queue.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/socket.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace gompresso::net {
 
-/// Produces one ByteSource view of the archive per call. Called once per
-/// connection (each session needs its own source) plus once at startup
-/// when no pre-built index is given. Must be callable concurrently.
+/// Produces one ByteSource view of the archive per call. Called once for
+/// the source every decode reads through (its fault plan applies
+/// server-wide), plus once to sniff when no backend is given.
 using SourceFactory = std::function<std::unique_ptr<serve::ByteSource>()>;
 
 struct ServeOptions {
@@ -78,7 +80,7 @@ struct ServeOptions {
   /// client can always re-ask in smaller ranges).
   std::uint64_t max_response_bytes = 16ull << 20;
   /// Queue-wait + decode budget per request. Requests older than this
-  /// when a worker picks them up are shed; it also seeds each session's
+  /// when a worker picks them up are shed; it also seeds the session's
   /// RetryPolicy::deadline_us (unless the caller set one).
   int request_deadline_ms = 10'000;
   /// Reap a connection that sent a partial request head and stalled.
@@ -90,11 +92,11 @@ struct ServeOptions {
   /// Serve reads over damaged blocks zero-filled (206/200 +
   /// X-Gomp-Degraded) instead of failing them with 502.
   bool degraded = false;
-  /// Per-connection DecodeSession tuning. num_threads sizes the one
-  /// decode pool every session shares (0 = hardware concurrency), which
-  /// also builds a gzip index when the server sniffs the archive itself.
-  /// Decode knobs (checksums, strategy) belong to the backend the server
-  /// is given.
+  /// Tuning of the server's one DecodeSession, whose window and cache
+  /// every connection shares. num_threads sizes its decode pool (0 = the
+  /// shared default pool), which also builds a gzip index when the
+  /// server sniffs the archive itself. Decode knobs (checksums, strategy)
+  /// belong to the backend the server is given.
   serve::SessionOptions session;
 };
 
@@ -123,10 +125,10 @@ class Server {
   /// Serves the archive `factory` opens through a pre-built container
   /// backend (the robust path: build the geometry from a trusted
   /// source, then even a fault-injected data plane cannot corrupt it).
-  /// The backend is shared by every per-connection session — GMPZ/GMPS
-  /// and gzip backends alike. A native SeekIndex in hand becomes one
-  /// through serve::make_gmpz_backend(index, decode_options); decode
-  /// knobs live there, not on ServeOptions::session.
+  /// Builds the one DecodeSession every connection reads through from
+  /// the backend and one factory() source. A native SeekIndex in hand
+  /// becomes a backend through serve::make_gmpz_backend(index,
+  /// decode_options); decode knobs live there, not on ServeOptions::session.
   Server(SourceFactory factory, std::shared_ptr<serve::ContainerBackend> backend,
          ServeOptions options = {});
   /// Convenience: sniffs one factory() source and builds the matching
@@ -148,8 +150,8 @@ class Server {
   std::uint16_t port() const { return port_; }
 
   /// Graceful drain: stop accepting, serve or shed everything in
-  /// flight, join all threads. Idempotent; safe to call from a signal-
-  /// observing thread while clients are mid-request.
+  /// flight, join all threads and decode tasks. Idempotent; safe to
+  /// call from a signal-observing thread while clients are mid-request.
   void stop();
 
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
@@ -165,9 +167,7 @@ class Server {
   struct Conn {
     util::Fd fd;
     std::string inbuf;  // bytes received, not yet consumed as a head
-    std::unique_ptr<serve::DecodeSession> session;  // lazy, first archive read
     std::chrono::steady_clock::time_point last_activity{};
-    std::uint64_t id = 0;  // per-connection retry-jitter salt
     bool close_after = false;
   };
 
@@ -228,12 +228,10 @@ class Server {
   bool admit_bytes(std::uint64_t n);
   void release_bytes(std::uint64_t n);
 
-  SourceFactory factory_;
   std::shared_ptr<serve::ContainerBackend> backend_;
   ServeOptions options_;
-
-  ThreadPool decode_pool_;
-  util::BufferPool buffers_;
+  /// Every connection's reads; reset by stop() once the workers joined.
+  std::unique_ptr<serve::DecodeSession> session_;
 
   std::unique_ptr<util::TcpListener> listener_;  // bound in start()
   std::uint16_t port_ = 0;
@@ -255,7 +253,6 @@ class Server {
 
   std::atomic<std::size_t> live_conns_{0};
   std::atomic<std::uint64_t> queued_bytes_{0};
-  std::atomic<std::uint64_t> next_conn_id_{1};
   AtomicStats stats_;
 
   util::Mutex stop_mutex_;  // serializes concurrent stop() calls

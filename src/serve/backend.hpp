@@ -18,8 +18,8 @@
 //
 // Backends are immutable after construction and decode_block() must be
 // callable from many pool workers concurrently, so one shared_ptr
-// backend can serve every per-connection session of the net daemon —
-// the expensive part (index build / boundary scan) happens once.
+// backend can serve many sessions at once — the expensive part (index
+// build / boundary scan) happens once.
 #pragma once
 
 #include <cstddef>

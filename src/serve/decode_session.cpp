@@ -85,13 +85,11 @@ DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source,
     : source_(std::move(source)),
       backend_(std::move(backend)),
       options_(options) {
+  check(source_ != nullptr, "serve: null byte source");
   check(backend_ != nullptr, "serve: null container backend");
   check_format(backend_->source_size() == source_->size(),
                "serve: seek index does not match the source (rebuild it)");
-  if (options_.buffer_pool != nullptr) buffers_ = options_.buffer_pool;
-  // A shared pool (the serve daemon) bounds concurrency and memory per
-  // pool, not per session; otherwise num_threads picks the plan.
-  pool_ = resolve_pool(options_.num_threads, own_pool_, options_.pool);
+  pool_ = resolve_pool(options_.num_threads, own_pool_);
   async_ = pool_ != nullptr && pool_->async();
   window_ = async_ ? std::max<std::size_t>(1, options_.max_inflight_blocks) : 1;
   // A window beyond the block count buys nothing and would drag the
@@ -116,7 +114,6 @@ std::uint64_t DecodeSession::tell() const {
 void DecodeSession::seek(std::uint64_t offset) {
   util::MutexLock lock(cursor_mutex_);
   cursor_ = offset;
-  run_end_.store(offset);
 }
 
 std::size_t DecodeSession::read(MutableByteSpan dst) {
@@ -125,7 +122,7 @@ std::size_t DecodeSession::read(MutableByteSpan dst) {
   // twice). It is distinct from mutex_ — fetch_into takes that one while
   // blocking on decodes — and is only ever acquired before it.
   util::MutexLock lock(cursor_mutex_);
-  const std::size_t n = read_blocks(cursor_, dst, nullptr);
+  const std::size_t n = read_blocks(cursor_, dst, nullptr, /*run=*/true);
   cursor_ += n;
   return n;
 }
@@ -155,18 +152,24 @@ std::size_t DecodeSession::read_at_damage_tolerant(std::uint64_t offset,
 }
 
 std::size_t DecodeSession::read_blocks(std::uint64_t offset, MutableByteSpan dst,
-                                       DamageReport* damage) {
+                                       DamageReport* damage, bool run) {
   const std::uint64_t total = size();
   if (offset >= total || dst.empty()) return 0;
   serve_obs().reads.add(1);
   obs::StageScope stage("serve_read", "serve", serve_obs().read_latency_us);
   const std::size_t n = static_cast<std::size_t>(
       std::min<std::uint64_t>(dst.size(), total - offset));
-  // Only a read continuing the sequential run looks past its own range.
-  const bool sequential = run_end_.exchange(offset + n) == offset;
+  // Only a read continuing a sequential run looks past its own range.
+  bool sequential = run || offset == 0;
+  if (!sequential) {
+    util::MutexLock lock(mutex_);
+    const auto it = slots_.find(backend_->block_containing(offset - 1));
+    sequential = it != slots_.end() && it->second->run_end == offset;
+  }
   ReadPlan plan;
   plan.range_end = backend_->block_containing(offset + n - 1) + 1;
   plan.schedule_end = sequential ? backend_->num_blocks() : plan.range_end;
+  plan.read_end = offset + n;
   std::size_t done = 0;
   while (done < n) {
     const std::uint64_t off = offset + done;
@@ -301,6 +304,7 @@ void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
     lru_.erase(slot->lru_it);
     lru_.push_front(block);
     slot->lru_it = lru_.begin();
+    if (block + 1 == plan.range_end) slot->run_end = plan.read_end;
     bump(counters_.bytes_delivered, serve_obs().bytes_delivered, len);
     // Copy outside the lock, still pinned: a block-sized memcpy under
     // mutex_ would serialize concurrent readers and stall every decode
@@ -352,12 +356,12 @@ void DecodeSession::decode_task(std::uint64_t block) {
     try {
       const BackendBlock e = backend_->block(static_cast<std::size_t>(block));
       util::PooledBuffer out =
-          buffers_->acquire(static_cast<std::size_t>(e.uncomp_size));
+          buffers_.acquire(static_cast<std::size_t>(e.uncomp_size));
       // The backend draws its compressed staging from buffers_ too and
       // returns it before this call publishes, so the memory-bound
       // witness sees the same peak the old inline decode had.
       backend_->decode_block(static_cast<std::size_t>(block), *source_,
-                             *buffers_, out.span());
+                             buffers_, out.span());
 
       util::MutexLock lock(mutex_);
       health_[static_cast<std::size_t>(block)] = BlockHealth::kGood;
@@ -478,7 +482,7 @@ SessionStats DecodeSession::stats() const {
   s.permanent_errors = load(c.permanent_errors);
   s.degraded_reads = load(c.degraded_reads);
   s.bytes_zero_filled = load(c.bytes_zero_filled);
-  s.pool = buffers_->stats();
+  s.pool = buffers_.stats();
   return s;
 }
 

@@ -26,14 +26,15 @@
 // while max_inflight_blocks decodes are pending, and the pool's bounded
 // task queue backstops even that.
 //
-// Lookahead follows the access pattern. A read that starts where the
-// session's previous read ended (or at the offset of the last seek(),
-// or at 0 on a fresh session) continues a sequential run and schedules
-// the full window from its first block — read(), `gomp cat`,
-// verify_archive() and a client walking a file in consecutive ranges
-// all do. Any other read schedules only the blocks its own range
-// covers, still up to max_inflight_blocks at a time, so a random 64 KiB
-// range decodes its one block and nothing nobody asked for.
+// Lookahead follows the access pattern. A read that starts at 0 or where
+// an earlier read ended continues a sequential run and schedules the full
+// window from its first block; read() always continues its cursor's run.
+// So `gomp cat`, verify_archive() and a client walking a file in
+// consecutive ranges keep their lookahead while other readers interleave.
+// A read's end is kept on the cached block it ended in (the latest wins),
+// so remembered runs are bounded by the cache. Any other read schedules
+// only the blocks its own range covers, still up to max_inflight_blocks
+// at a time, so a random 64 KiB range decodes its one block.
 //
 // Failures are delivered, never cached. A reader pins the block it
 // demands before its decode can finish; a failed decode is published
@@ -72,10 +73,9 @@ namespace gompresso::serve {
 /// attempt k starts from min(base_backoff_us << (k-1), max_backoff_us)
 /// and scales it by a factor drawn deterministically from
 /// (jitter_seed, salt, attempt) in [1-jitter, 1+jitter). Seeding keeps
-/// fault plans replayable (same seed, same sleeps) while the salt —
-/// callers pass the block index, and the serve daemon folds a
-/// per-connection id into jitter_seed — de-synchronizes retry storms
-/// when many tasks hit the same fault burst at once. Permanent errors
+/// fault plans replayable (same seed, same sleeps) while the salt — the
+/// block index — de-synchronizes retry storms when many blocks hit the
+/// same fault burst at once. Permanent errors
 /// (CorruptionError, FormatError) are never retried; classification is
 /// by type, never by message string.
 struct RetryPolicy {
@@ -129,14 +129,6 @@ struct SessionOptions {
   /// in microseconds; null = std::this_thread::sleep_for. Must be
   /// callable from pool workers concurrently.
   std::function<void(std::uint64_t)> sleep_hook;
-  /// Shared decode pool. When set it overrides num_threads entirely —
-  /// the serve daemon runs every per-connection session on one pool so
-  /// concurrency is bounded by the pool, not by the connection count.
-  /// Must outlive the session. nullptr = honor num_threads.
-  ThreadPool* pool = nullptr;
-  /// Shared buffer pool (same motivation: one memory-bound witness for
-  /// all sessions). Must outlive the session. nullptr = own pool.
-  util::BufferPool* buffer_pool = nullptr;
 };
 
 /// One uncompressed range a damage-tolerant read could not reproduce
@@ -205,8 +197,8 @@ class DecodeSession {
 
   /// Sequential read at the session cursor; advances it. Returns the
   /// number of bytes produced — short only at end of data, 0 at or past
-  /// the end. Prefetches the upcoming window while the reads continue a
-  /// sequential run.
+  /// the end. Always prefetches the upcoming window: the cursor is a
+  /// sequential run from the last seek() (or 0).
   std::size_t read(MutableByteSpan dst) EXCLUDES(cursor_mutex_);
 
   /// Positional read, cursor untouched; same return convention. Decoded
@@ -280,6 +272,7 @@ class DecodeSession {
     int waiters = 0;                    // readers pinning this block (eviction
                                         // skips pinned slots)
     std::list<std::uint64_t>::iterator lru_it{};  // valid when kReady
+    std::uint64_t run_end = 0;          // end of the latest read ending here
   };
 
   struct BlockDamage {
@@ -309,15 +302,19 @@ class DecodeSession {
   void backoff_sleep(std::uint64_t us);
   /// The one block walk behind every read. `damage` null: a plain read,
   /// decode errors propagate. Non-null: damage-tolerant, a damaged
-  /// block is zero-filled and appended to `damage`.
+  /// block is zero-filled and appended to `damage`. `run`: the read
+  /// continues the cursor's sequential run.
   std::size_t read_blocks(std::uint64_t offset, MutableByteSpan dst,
-                          DamageReport* damage) EXCLUDES(mutex_);
+                          DamageReport* damage, bool run = false)
+      EXCLUDES(mutex_);
   /// Which blocks one read may schedule: blocks below `range_end` lie
   /// inside its range (demand), blocks from there up to
   /// `schedule_end` are lookahead (prefetch). Both are exclusive ends.
+  /// `read_end`, the read's end offset, is recorded on its last block.
   struct ReadPlan {
     std::uint64_t range_end = 0;
     std::uint64_t schedule_end = 0;
+    std::uint64_t read_end = 0;
   };
 
   void fetch_into(std::uint64_t block, std::size_t begin, std::size_t len,
@@ -343,8 +340,7 @@ class DecodeSession {
   std::size_t window_ = 1;      // effective max_inflight_blocks
   std::size_t cache_capacity_ = 0;
 
-  util::BufferPool own_buffers_;
-  util::BufferPool* buffers_ = &own_buffers_;  // options_.buffer_pool if set
+  util::BufferPool buffers_;
 
   /// Serializes the sequential cursor (read/seek/tell). Always acquired
   /// before mutex_, never while holding it.
@@ -358,9 +354,6 @@ class DecodeSession {
   std::size_t inflight_ GUARDED_BY(mutex_) = 0;     // slots in kScheduled state
   std::size_t ready_count_ GUARDED_BY(mutex_) = 0;  // slots in kReady state
   std::uint64_t cursor_ GUARDED_BY(cursor_mutex_) = 0;
-  /// Where a read continuing the sequential run starts: the end of the
-  /// previous read, or the last seek() target.
-  std::atomic<std::uint64_t> run_end_{0};
   AtomicCounters counters_;
   std::vector<BlockHealth> health_ GUARDED_BY(mutex_);  // per block
   std::unordered_map<std::uint64_t, BlockDamage> damage_

@@ -237,9 +237,7 @@ ThreadPool& default_pool() {
 }
 
 ThreadPool* resolve_pool(std::size_t num_threads,
-                         std::unique_ptr<ThreadPool>& owned,
-                         ThreadPool* shared) {
-  if (shared != nullptr) return shared;
+                         std::unique_ptr<ThreadPool>& owned) {
   if (num_threads == 0) return &default_pool();
   if (num_threads == 1) return nullptr;
   owned = std::make_unique<ThreadPool>(num_threads);

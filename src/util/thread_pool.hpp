@@ -125,12 +125,10 @@ class ThreadPool {
 /// hardware concurrency of the host.
 ThreadPool& default_pool();
 
-/// The library's one thread-plan rule for a `num_threads` knob: a
-/// non-null `shared` pool wins outright; otherwise 0 selects
-/// default_pool(), 1 returns nullptr (run inline on the caller), and
-/// n > 1 builds an n-worker pool that `owned` keeps alive.
+/// The library's one thread-plan rule for a `num_threads` knob: 0
+/// selects default_pool(), 1 returns nullptr (run inline on the
+/// caller), and n > 1 builds an n-worker pool that `owned` keeps alive.
 ThreadPool* resolve_pool(std::size_t num_threads,
-                         std::unique_ptr<ThreadPool>& owned,
-                         ThreadPool* shared = nullptr);
+                         std::unique_ptr<ThreadPool>& owned);
 
 }  // namespace gompresso

@@ -499,6 +499,96 @@ TEST(ServeNet, RandomRangeGetDecodesOnlyTheBlocksItCovers) {
   EXPECT_EQ(blocks_for_range(4 * kBlock - 1000), 2u);
 }
 
+// GETs `len` bytes at `first` and checks the 206 body against the input.
+void expect_range(net::HttpClient& client, const ServerFixture& f,
+                  std::uint64_t first, std::uint64_t len) {
+  net::HttpResponse resp;
+  ASSERT_TRUE(client.get("/archive",
+                         {"Range: bytes=" + std::to_string(first) + "-" +
+                          std::to_string(first + len - 1)},
+                         resp));
+  EXPECT_EQ(resp.status, 206);
+  EXPECT_TRUE(resp.body.size() == len &&
+              std::equal(resp.body.begin(), resp.body.end(),
+                         f.input.begin() + static_cast<long>(first)))
+      << "range at " << first;
+}
+
+std::uint64_t serve_counter(const char* name) {
+  return obs::metrics_snapshot().counter(name);
+}
+
+TEST(ServeNet, ConnectionsShareOneDecodeOfABlock) {
+  // The server has one decoded-block cache: a second connection reading
+  // the block the first one read is served from it, not decoded again.
+  const ServerFixture f;
+  net::Server server(f.factory(), f.options());
+  server.start();
+  const std::uint64_t before = serve_counter("serve.blocks_decoded");
+  for (int c = 0; c < 2; ++c) {
+    net::HttpClient client(server.port());
+    expect_range(client, f, 50000, 1000);
+  }
+  server.stop();
+  EXPECT_EQ(serve_counter("serve.blocks_decoded") - before, 1u);
+}
+
+TEST(ServeNet, DecodedBlockCacheIsBoundedPerServer) {
+  // Four keep-alive connections each read, then re-read, their own
+  // block. One 2-block cache serves them all, so the re-reads decode
+  // again: memory is bounded per server, not per connection.
+  const ServerFixture f;
+  net::ServeOptions opt = f.options();  // synchronous decode: window 1
+  opt.session.cache_blocks = 2;
+  net::Server server(f.factory(), opt);
+  server.start();
+  std::vector<std::unique_ptr<net::HttpClient>> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.push_back(std::make_unique<net::HttpClient>(server.port()));
+  }
+  const std::uint64_t before = serve_counter("serve.blocks_decoded");
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      expect_range(*clients[c], f, c * 16 * 1024 + 100, 1000);
+    }
+  }
+  for (const auto& client : clients) EXPECT_TRUE(client->alive());
+  server.stop();
+  EXPECT_EQ(serve_counter("serve.blocks_decoded") - before, 8u);
+}
+
+TEST(ServeNet, ConsecutiveRangesKeepLookaheadAmidOtherConnections) {
+  // One client walks consecutive ranges while another connection's
+  // random ranges land between its requests. The walk still continues
+  // its sequential run (each range starts where its previous one ended)
+  // and keeps the lookahead; the random ranges decode only their own
+  // blocks.
+  const ServerFixture f(400000);
+  net::ServeOptions opt = f.options();
+  opt.session.num_threads = 4;  // real workers even on a 1-vCPU host
+  opt.session.max_inflight_blocks = 4;
+  net::Server server(f.factory(), opt);
+  server.start();
+  net::HttpClient walker(server.port());
+  net::HttpClient random(server.port());
+  std::uint64_t walk_prefetch = 0;
+  std::uint64_t random_prefetch = 0;
+  constexpr std::uint64_t kStart = 100000;  // mid-file: the first read is random
+  constexpr std::uint64_t kLen = 5000;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    std::uint64_t before = serve_counter("serve.prefetch_decodes");
+    expect_range(walker, f, kStart + i * kLen, kLen);
+    walk_prefetch += serve_counter("serve.prefetch_decodes") - before;
+    // Blocks 18..23, clear of the walk (blocks 6..12) and its lookahead.
+    before = serve_counter("serve.prefetch_decodes");
+    expect_range(random, f, (18 + i * 7 % 6) * 16 * 1024 + 300 + i * 11, 2000);
+    random_prefetch += serve_counter("serve.prefetch_decodes") - before;
+  }
+  server.stop();
+  EXPECT_GT(walk_prefetch, 0u);
+  EXPECT_EQ(random_prefetch, 0u);
+}
+
 TEST(ServeNet, SharedPoolsBoundMemoryAcrossConnections) {
   const ServerFixture f;
   net::ServeOptions opt = f.options();
@@ -507,9 +597,9 @@ TEST(ServeNet, SharedPoolsBoundMemoryAcrossConnections) {
   net::Server server(f.factory(), opt);
   server.start();
 
-  // Several connections each pull several ranges; all sessions lease
-  // from one BufferPool whose peak stays near one connection's worth,
-  // far below (connections x archive size).
+  // Several connections each pull several ranges through the server's
+  // one session, whose one BufferPool bounds their decoded memory
+  // together, far below (connections x archive size).
   for (int c = 0; c < 4; ++c) {
     net::HttpClient client(server.port());
     net::HttpResponse resp;
