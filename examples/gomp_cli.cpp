@@ -45,7 +45,8 @@
 //                     damaged extents go to stderr, exit code 1 if any
 // d/cat/range/verify/stats/serve accept GMPZ containers, GMPS streams,
 // and gzip files alike (the container is sniffed; gzip gets the
-// rapidgzip-style parallel index, see src/ingest/). With no output
+// rapidgzip-style parallel index, see src/ingest/). Only `gomp d` reads
+// a pipe (e.g. /dev/stdin); the session verbs need a regular file. With no output
 // path the bytes go to stdout and the stats to stderr. `gomp index`
 // writes the sidecar flavor matching the container (.gmpx / .gzix).
 #include <cctype>
@@ -55,6 +56,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -631,19 +633,27 @@ int cmd_decompress(int argc, char** argv) {
   }
   if (input_path.empty() || output_path.empty()) return usage();
 
-  const std::unique_ptr<serve::ByteSource> source =
-      serve::open_file_source(input_path);
-  if (sniff_source(*source) != format::ContainerKind::kGmpz) {
-    // GMPS streams and gzip decode through the open() session, with the
-    // same options (--strategy applies to every native segment).
+  // A pipe (or any non-regular input) has no size to report and no
+  // random access: decompress_file() reads it forward and sniffs it.
+  std::error_code ec;
+  std::unique_ptr<serve::ByteSource> source;
+  if (std::filesystem::is_regular_file(input_path, ec)) {
+    source = serve::open_file_source(input_path);
+  }
+  if (source == nullptr || sniff_source(*source) != format::ContainerKind::kGmpz) {
+    // GMPS streams, gzip and pipes decode through the session path of
+    // decompress_stream(), with the same options (--strategy applies to
+    // every native segment).
     TraceGuard trace(trace_path);
     Stopwatch timer;
     const std::uint64_t bytes = decompress_file(input_path, output_path, opt);
     const double seconds = timer.seconds();
     trace.finish();  // the session joined its decodes before returning
-    std::printf("%s: %llu -> %llu bytes, %.2f GB/s\n", input_path.c_str(),
-                static_cast<unsigned long long>(source->size()),
-                static_cast<unsigned long long>(bytes), gb_per_sec(bytes, seconds));
+    const std::string in_size =
+        source != nullptr ? std::to_string(source->size()) + " " : "";
+    std::printf("%s: %s-> %llu bytes, %.2f GB/s\n", input_path.c_str(),
+                in_size.c_str(), static_cast<unsigned long long>(bytes),
+                gb_per_sec(bytes, seconds));
     return 0;
   }
   const Bytes file = read_file(input_path);

@@ -136,20 +136,18 @@ void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc
   throw CorruptionError(e.what());
 }
 
-void decode_blocks(const format::FileHeader& header, std::size_t first,
-                   std::size_t count, ByteSpan payloads, MutableByteSpan out,
-                   Strategy strategy, bool verify_checksums, ThreadPool* pool,
-                   std::vector<BlockDecodeContext>& workers) {
+std::vector<BlockDecodeContext> decode_blocks(const format::FileHeader& header,
+                                              ByteSpan payloads, MutableByteSpan out,
+                                              Strategy strategy,
+                                              bool verify_checksums, ThreadPool* pool) {
   // Locate every payload from the size list (inter-block parallelism
   // needs no scanning, Fig. 3).
+  const std::size_t count = header.num_blocks();
   std::vector<std::uint64_t> offsets(count + 1);
   for (std::size_t i = 0; i < count; ++i) {
-    offsets[i + 1] = offsets[i] + header.block_compressed_sizes[first + i];
+    offsets[i + 1] = offsets[i] + header.block_compressed_sizes[i];
   }
-  const std::uint64_t out_end = std::min<std::uint64_t>(
-      header.uncompressed_size, std::uint64_t{first + count} * header.block_size);
-  check(offsets[count] == payloads.size() &&
-            out.size() == out_end - std::uint64_t{first} * header.block_size,
+  check(offsets[count] == payloads.size() && out.size() == header.uncompressed_size,
         "decode_blocks: buffers do not match the blocks' sizes");
   const auto decode_one = [&](BlockDecodeContext& ctx, std::size_t i,
                               ThreadPool* lane_pool) {
@@ -161,7 +159,7 @@ void decode_blocks(const format::FileHeader& header, std::size_t first,
   };
 
   const std::size_t participants = pool != nullptr ? pool->parallelism() : 1;
-  workers.resize(std::max(workers.size(), count == 1 ? 1 : participants));
+  std::vector<BlockDecodeContext> workers(count == 1 ? 1 : participants);
   if (participants == 1) {
     for (std::size_t i = 0; i < count; ++i) decode_one(workers[0], i, nullptr);
   } else if (count != 1) {
@@ -176,6 +174,7 @@ void decode_blocks(const format::FileHeader& header, std::size_t first,
   } else {
     decode_one(workers[0], 0, pool);
   }
+  return workers;
 }
 
 }  // namespace gompresso::core

@@ -1,11 +1,11 @@
-// Native block decode, shared by the batch, pipe and session paths.
+// Native block decode, shared by the batch and session paths.
 //
 // A block payload is what the per-block size list delimits in Fig. 3:
-// CRC32, mode byte, then the codec body. decode_blocks() is the one
-// thread plan (§III): decompress() runs it over the whole file and
-// decompress_stream()'s pipe path over each batch read off the pipe.
-// The serve GMPZ backend decodes one block per session task through
-// decode_block_at().
+// CRC32, mode byte, then the codec body. decompress() runs the whole
+// file through decode_blocks(), the batch thread plan (§III). Every
+// session path (open(), and decompress_stream() on a file or a pipe)
+// decodes one block per task through decode_block_at(), via the serve
+// GMPZ backend.
 #pragma once
 
 #include <vector>
@@ -46,17 +46,16 @@ void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc
                      MutableByteSpan out, Strategy strategy, bool verify_checksum,
                      BlockDecodeContext& ctx, ThreadPool* lane_pool);
 
-/// Decodes blocks [first, first + count) of `header`; `payloads` holds
-/// exactly their payloads back to back, `out` exactly their bytes. With
-/// no pool (or one participant) blocks decode in order on the caller;
+/// Decodes every block of `header`; `payloads` holds exactly their
+/// payloads back to back, `out` exactly the uncompressed bytes. With no
+/// pool (or one participant) blocks decode in order on the caller;
 /// several blocks go to the pool's workers whole (inter-block
 /// parallelism); a lone block fans both decode phases out across the
-/// pool (decode_block_at's `lane_pool`). `workers` holds one context per
-/// participant; it only grows, so batch after batch keeps warm arenas,
-/// and the caller merges the contexts' metrics.
-void decode_blocks(const format::FileHeader& header, std::size_t first,
-                   std::size_t count, ByteSpan payloads, MutableByteSpan out,
-                   Strategy strategy, bool verify_checksums, ThreadPool* pool,
-                   std::vector<BlockDecodeContext>& workers);
+/// pool (decode_block_at's `lane_pool`). Returns one context per
+/// participant, for the caller to merge their metrics.
+std::vector<BlockDecodeContext> decode_blocks(const format::FileHeader& header,
+                                              ByteSpan payloads, MutableByteSpan out,
+                                              Strategy strategy,
+                                              bool verify_checksums, ThreadPool* pool);
 
 }  // namespace gompresso::core

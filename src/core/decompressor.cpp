@@ -17,10 +17,9 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
   result.data.resize(static_cast<std::size_t>(header.uncompressed_size));
 
   std::unique_ptr<ThreadPool> own_pool;
-  std::vector<core::BlockDecodeContext> workers;
-  core::decode_blocks(header, 0, header.num_blocks(), file.subspan(pos),
-                      result.data, result.strategy_used, options.verify_checksums,
-                      resolve_pool(options.num_threads, own_pool), workers);
+  const std::vector<core::BlockDecodeContext> workers = core::decode_blocks(
+      header, file.subspan(pos), result.data, result.strategy_used,
+      options.verify_checksums, resolve_pool(options.num_threads, own_pool));
 
   for (const core::BlockDecodeContext& ctx : workers) {
     result.metrics.merge(ctx.metrics);

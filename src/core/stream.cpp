@@ -1,17 +1,20 @@
 #include "core/stream.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <memory>
 #include <ostream>
-#include <vector>
 
-#include "core/block_decode.hpp"
 #include "core/compressor.hpp"
 #include "core/open.hpp"
 #include "format/sniff.hpp"
+#include "obs/metrics.hpp"
 #include "serve/decode_session.hpp"
+#include "serve/seek_index.hpp"
 #include "util/byte_reader.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso {
@@ -32,15 +35,109 @@ OpenOptions open_options(const DecompressOptions& options) {
   return oopt;
 }
 
+/// Forward-only ByteSource over one native container on a pipe, in the
+/// container's own offsets; its header is parsed already, so the buffer
+/// starts empty at `begin`. It holds the bytes [released, filled): only
+/// the copy loop moves the pipe, decode tasks copy out concurrently, and
+/// a read_at outside the window is API misuse (never retried).
+class PipeWindow final : public serve::ByteSource {
+ public:
+  PipeWindow(util::ByteReader& pipe, std::uint64_t begin, std::uint64_t size,
+             std::size_t max_inflight_blocks)
+      : pipe_(pipe),
+        size_(size),
+        lookahead_(std::max<std::size_t>(1, max_inflight_blocks)),
+        released_(begin),
+        filled_(begin) {}
+
+  /// One sample per container: the most bytes the window held at once.
+  ~PipeWindow() override {
+    static const obs::Histogram peak =
+        obs::registry().histogram("stream.pipe_buffer_peak_bytes", "bytes");
+    peak.record(peak_);
+  }
+
+  std::uint64_t size() const override { return size_; }
+
+  void read_at(std::uint64_t offset, MutableByteSpan dst) override {
+    util::MutexLock lock(mutex_);
+    check(offset >= released_ && offset <= filled_ && dst.size() <= filled_ - offset,
+          "stream: pipe read outside the buffered window");
+    std::memcpy(dst.data(), buf_.data() + (offset - released_), dst.size());
+  }
+
+  /// Before a session read of `len` bytes at `cursor`: reads the pipe
+  /// through the last block that read may schedule (the blocks it
+  /// covers, then the session's lookahead window).
+  void before_read(const serve::DecodeSession& s, std::uint64_t cursor,
+                   std::size_t len) {
+    if (cursor >= s.size()) return;
+    const std::size_t last =
+        s.backend().block_containing(std::min<std::uint64_t>(s.size(), cursor + len) - 1);
+    fill_to(block_start(s, last + lookahead_));
+  }
+
+  /// After a read: drops the blocks wholly behind the cursor (the read
+  /// waited for their decodes).
+  void after_read(const serve::DecodeSession& s, std::uint64_t cursor) {
+    const std::uint64_t to = block_start(
+        s, cursor < s.size() ? s.backend().block_containing(cursor) : s.num_blocks());
+    util::MutexLock lock(mutex_);
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(to - released_));
+    released_ = to;
+  }
+
+ private:
+  std::uint64_t block_start(const serve::DecodeSession& s, std::size_t b) const {
+    return b < s.num_blocks() ? s.block_extent(b).comp_offset : size_;
+  }
+
+  void fill_to(std::uint64_t end) {
+    // Grow while reading, at most 16 MiB ahead of the bytes received, so
+    // a lying size fails at EOF (the reader's FormatError, which no
+    // session sees or retries) with memory in proportion to what was
+    // sent, not claimed.
+    while (true) {
+      std::uint8_t* dst = nullptr;
+      std::size_t step = 0;
+      {
+        util::MutexLock lock(mutex_);
+        if (filled_ >= end) return;
+        step = static_cast<std::size_t>(std::min<std::uint64_t>(end - filled_, 16u << 20));
+        buf_.resize(buf_.size() + step);
+        dst = buf_.data() + buf_.size() - step;
+      }
+      // Unlocked: no read_at reaches past filled_, and only this thread
+      // resizes the buffer.
+      pipe_.read_exact(MutableByteSpan(dst, step));
+      util::MutexLock lock(mutex_);
+      filled_ += step;
+      peak_ = std::max(peak_, filled_ - released_);
+    }
+  }
+
+  util::ByteReader& pipe_;
+  const std::uint64_t size_;
+  const std::size_t lookahead_;
+  util::Mutex mutex_;
+  Bytes buf_ GUARDED_BY(mutex_);  // the bytes [released_, filled_)
+  std::uint64_t released_ GUARDED_BY(mutex_);
+  std::uint64_t filled_ GUARDED_BY(mutex_);
+  std::uint64_t peak_ GUARDED_BY(mutex_) = 0;
+};
+
 /// Copies a session's whole payload to `out` through its sequential
 /// cursor (pipelined prefetch; memory bounded by the session window).
-/// Both the seekable path and gzip on a pipe decode through this loop.
-std::uint64_t copy_session(serve::DecodeSession& session, std::ostream& out) {
+/// Every decode path runs this loop; on a pipe it also moves `pipe`.
+std::uint64_t copy_session(serve::DecodeSession& session, std::ostream& out,
+                           PipeWindow* pipe = nullptr) {
   Bytes chunk(kStreamCopyChunk);
   std::uint64_t total = 0;
   while (true) {
+    if (pipe != nullptr) pipe->before_read(session, total, chunk.size());
     const std::size_t n = session.read(MutableByteSpan(chunk.data(), chunk.size()));
     if (n == 0) break;
+    if (pipe != nullptr) pipe->after_read(session, total + n);
     write_bytes(out, ByteSpan(chunk.data(), n));
     total += n;
   }
@@ -87,14 +184,37 @@ std::uint64_t decompress_gzip_pipe(std::istream& in, ByteSpan prefix,
   return copy_session(*session, out);
 }
 
-/// Decode path for non-seekable inputs (pipes): one segment header at a
-/// time through the buffered reader, then batches of `parallelism`
-/// block payloads read back to back and decoded by the same
-/// core::decode_blocks() thread plan as decompress() — so a batch of one
-/// block (a single-block container, say) fans out across the pool too.
-/// Memory is one batch of compressed + decoded blocks — the same
-/// O(parallelism x block) shape as a session window, never a whole
-/// segment.
+/// One native container on a pipe, its `header_bytes`-long header
+/// parsed off `reader` already: a session over a PipeWindow.
+std::uint64_t decompress_pipe_container(util::ByteReader& reader,
+                                        format::FileHeader header,
+                                        std::uint64_t header_bytes, std::ostream& out,
+                                        const DecompressOptions& options) {
+  // A pipe has no payload length to bound the header's sizes by (a file
+  // bounds them by its size). So cap the block at 1 GiB, as the CLI's
+  // --block does, and each block's compressed size at what any codec
+  // here could plausibly emit (well under 16x, even with degenerate
+  // sub-block settings), before anything is sized by them.
+  check_format(header.block_size <= (1u << 30), "stream: implausible block size");
+  serve::SeekIndex index =
+      serve::SeekIndex::for_container(std::move(header), header_bytes);
+  for (std::size_t b = 0; b < index.num_blocks(); ++b) {
+    check_format(index.block(b).comp_size <= 16ull * index.block(b).uncomp_size + 65536,
+                 "stream: implausible compressed block size");
+  }
+  const OpenOptions oopt = open_options(options);
+  auto window = std::make_unique<PipeWindow>(reader, header_bytes, index.source_size(),
+                                             oopt.session.max_inflight_blocks);
+  PipeWindow* pipe = window.get();
+  serve::DecodeSession session(std::move(window),
+                               serve::make_gmpz_backend(std::move(index), oopt.decode),
+                               oopt.session);
+  return copy_session(session, out, pipe);
+}
+
+/// Decode path for non-seekable inputs (pipes). Framing and headers are
+/// parsed byte-exactly; each native container then decodes through its
+/// own session (decompress_pipe_container).
 std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
                                            const DecompressOptions& options) {
   // buffer_size 1: a pipe cannot seek back, so the reader must consume
@@ -103,62 +223,6 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
   // a few hundred bytes per 64 MiB segment; the block payloads, which
   // are the volume, go through read_exact's direct bulk path.
   util::IstreamReader reader(in, /*buffer_size=*/1);
-
-  // A pipe narrows the *input* to one cursor, not the decode itself.
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = resolve_pool(options.num_threads, own_pool);
-  const std::size_t batch = pool != nullptr ? pool->parallelism() : 1;
-
-  std::vector<core::BlockDecodeContext> workers;
-  Bytes payloads;  // one batch of block payloads, back to back
-  Bytes decoded;   // ... and their uncompressed bytes
-  std::uint64_t total = 0;
-  const auto decode_segment = [&](const format::FileHeader& header) {
-    // A pipe has no payload length to validate the header's sizes
-    // against (the seekable path bounds them by the real file size), and
-    // the decode buffer is allocated before any payload arrives — so cap
-    // the block size absolutely; 1 GiB is far beyond any plausible
-    // configuration (the CLI caps --block at the same bound).
-    check_format(header.block_size <= (1u << 30),
-                 "stream: implausible block size");
-    const Strategy strategy = core::resolve_strategy(options.strategy, header);
-    for (std::size_t first = 0; first < header.num_blocks(); first += batch) {
-      const std::size_t n = std::min(batch, header.num_blocks() - first);
-      std::uint64_t comp_len = 0;
-      std::uint64_t out_len = 0;
-      for (std::size_t b = first; b < first + n; ++b) {
-        const std::uint64_t comp_size = header.block_compressed_sizes[b];
-        const std::uint64_t uncomp_len = std::min<std::uint64_t>(
-            header.block_size, header.uncompressed_size -
-                                   static_cast<std::uint64_t>(b) * header.block_size);
-        // Bound each block's compressed size by what any codec here
-        // could plausibly emit — the worst case is well under 16x even
-        // with degenerate sub-block settings — so a crafted huge size
-        // fails with a clean Error, not std::length_error.
-        check_format(comp_size <= 16 * uncomp_len + 65536,
-                     "stream: implausible compressed block size");
-        comp_len += comp_size;
-        out_len += uncomp_len;
-      }
-      // Grow the staging buffer while reading rather than trusting the
-      // sizes up front: allocation never outruns bytes actually
-      // received, so a lying size fails at EOF ("truncated input") with
-      // memory proportional to what was sent, not claimed.
-      payloads.clear();
-      while (payloads.size() < comp_len) {
-        const std::size_t at = payloads.size();
-        const std::size_t step = static_cast<std::size_t>(
-            std::min<std::uint64_t>(comp_len - at, 16u << 20));
-        payloads.resize(at + step);
-        reader.read_exact(MutableByteSpan(payloads.data() + at, step));
-      }
-      decoded.resize(static_cast<std::size_t>(out_len));
-      core::decode_blocks(header, first, n, payloads, decoded, strategy,
-                          options.verify_checksums, pool, workers);
-      write_bytes(out, decoded);
-      total += decoded.size();
-    }
-  };
 
   // One shared classifier decides the container — the same
   // format::sniff_container() the session open path uses, so a format
@@ -173,11 +237,10 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
       // the last. The block-count invariant still must hold, or a
       // corrupt header claiming fewer blocks silently truncates the
       // output.
-      const format::FileHeader header =
-          format::FileHeader::deserialize_body(reader);
+      format::FileHeader header = format::FileHeader::deserialize_body(reader);
       header.check_block_count();
-      decode_segment(header);
-      return total;
+      return decompress_pipe_container(reader, std::move(header), reader.offset(),
+                                       out, options);
     }
     case format::ContainerKind::kGzip:
       return decompress_gzip_pipe(in, ByteSpan(prefix, sizeof prefix), out,
@@ -187,17 +250,19 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
     case format::ContainerKind::kUnknown:
       throw FormatError("stream: bad magic");
   }
+  std::uint64_t total = 0;
   while (true) {
     const std::uint64_t segment_size = reader.read_varint();
     if (segment_size == 0) break;  // terminator
     check_format(segment_size <= (1ull << 40), "stream: implausible segment size");
     const std::uint64_t segment_begin = reader.offset();
-    const format::FileHeader header = format::FileHeader::deserialize(reader);
+    format::FileHeader header = format::FileHeader::deserialize(reader);
     const std::uint64_t header_bytes = reader.offset() - segment_begin;
     check_format(header_bytes <= segment_size,
                  "stream: segment smaller than its header");
     header.check_payload(segment_size - header_bytes);
-    decode_segment(header);
+    total += decompress_pipe_container(reader, std::move(header), header_bytes, out,
+                                       options);
   }
   return total;
 }

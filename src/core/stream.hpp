@@ -8,18 +8,17 @@
 // parallelism properties (each segment is a normal block-parallel
 // container).
 //
-// Decompression rides on the serve subsystem: a seekable input is
-// opened with gompresso::open() (core/open.hpp) and copied out through
-// the DecodeSession's sequential cursor (pipelined block prefetch, see
+// Decompression rides on the serve subsystem: a DecodeSession copied out
+// through its sequential cursor (pipelined block prefetch, see
 // serve/decode_session.hpp), so memory stays bounded by the session
-// window. On a non-seekable input (a pipe) GMPS and bare GMPZ use
-// byte-exact framing and decode one batch of `parallelism` blocks at a
-// time — O(parallelism x block) memory — through core::decode_blocks(),
-// the thread plan decompress() uses (whole blocks across workers, or a
-// lone block's lanes fanned out). gzip on a pipe is read whole into
-// memory (O(compressed)) and decoded through the same open() session
-// copy loop, so its member CRC32/ISIZE trailers are verified either way.
-// Both paths accept GMPS streams, bare GMPZ containers and RFC 1952 gzip.
+// window. A seekable input is opened with gompresso::open(). On a pipe,
+// GMPS and bare GMPZ framing is parsed byte-exactly and each container
+// gets its own session over a forward-only buffer holding the blocks of
+// one copy chunk plus the lookahead window. gzip on a pipe is read whole
+// into memory (O(compressed)) and decoded through the same open()
+// session copy loop, so its member CRC32/ISIZE trailers are verified
+// either way. Both paths accept GMPS streams, bare GMPZ containers and
+// RFC 1952 gzip.
 //
 // Stream layout:
 //   u32le  magic "GMPS"

@@ -1,7 +1,7 @@
 // Container-format sniffing: one shared magic-byte classifier.
 //
 // Every open path — gompresso::open(), decompress_stream()'s pipe
-// fallback, the CLI — dispatches on the same few leading bytes. Before
+// path, the CLI — dispatches on the same few leading bytes. Before
 // this header each path re-implemented the comparison, which is exactly
 // how the bare-GMPZ vs GMPS split once drifted between the session and
 // stream code. The classifier lives in format/ (below core/ and serve/)

@@ -15,7 +15,8 @@ namespace {
 class GmpzBackend final : public ContainerBackend {
  public:
   GmpzBackend(SeekIndex index, const DecodeOptions& options)
-      : index_(std::move(index)), verify_checksums_(options.verify_checksums) {
+      : index_(std::move(index)), verify_checksums_(options.verify_checksums),
+        lone_block_(index_.num_blocks() == 1) {
     // Per-segment strategy, resolved once: a stream may mix DE and
     // non-DE segments, and an explicit DE request must be validated
     // against every segment before the first decode.
@@ -55,9 +56,11 @@ class GmpzBackend final : public ContainerBackend {
     source.read_at(e.comp_offset, comp.span());
     std::unique_ptr<core::BlockDecodeContext> ctx = pop_context();
     try {
+      // A lone block is the only decode task: fan its lanes out over the
+      // pool it runs on, as decompress() does, or the pool would idle.
       core::decode_block_at(index_.segment_header(e.segment), comp.cspan(), out,
                             segment_strategy_[e.segment], verify_checksums_, *ctx,
-                            /*lane_pool=*/nullptr);
+                            lone_block_ ? ThreadPool::current() : nullptr);
     } catch (...) {
       push_context(std::move(ctx));
       throw;
@@ -86,6 +89,7 @@ class GmpzBackend final : public ContainerBackend {
 
   const SeekIndex index_;
   const bool verify_checksums_;
+  const bool lone_block_;
   std::vector<Strategy> segment_strategy_;
 
   util::Mutex mutex_;

@@ -12,7 +12,8 @@
 //
 // Implementations:
 //   * make_gmpz_backend() — the native GMPZ/GMPS path: SeekIndex block
-//     table, one core::decode_block_at() per session task.
+//     table, one core::decode_block_at() per session task (a lone
+//     block's lanes fan out over the pool that task runs on).
 //   * ingest::make_gzip_backend() — rapidgzip-style parallel decode of
 //     arbitrary RFC 1952 gzip (src/ingest/gzip_backend.hpp).
 //

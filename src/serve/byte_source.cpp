@@ -15,9 +15,14 @@ namespace {
 class FileSource final : public ByteSource {
  public:
   explicit FileSource(const std::string& path) {
+    // Checked before open(), which would wait for a FIFO's writer. A
+    // pipe's st_size 0 once read as an empty container.
+    struct stat st{};
+    check_format(::stat(path.c_str(), &st) != 0 || S_ISREG(st.st_mode),
+                 "serve: input is not a regular file (a pipe or device has no "
+                 "random access; only the streaming decoder reads one)");
     fd_ = ::open(path.c_str(), O_RDONLY);
     check_io(fd_ >= 0, "serve: cannot open input file");
-    struct stat st{};
     if (::fstat(fd_, &st) != 0) {
       ::close(fd_);
       fd_ = -1;

@@ -32,7 +32,8 @@ class ByteSource {
 };
 
 /// Opens a file with pread-style positional I/O (no shared cursor, so
-/// concurrent prefetch reads need no lock).
+/// concurrent prefetch reads need no lock). Anything but a regular file
+/// (a pipe, a device) is rejected with a FormatError naming the cause.
 std::unique_ptr<ByteSource> open_file_source(const std::string& path);
 
 /// Wraps an in-memory container. The span is referenced, not copied —

@@ -8,7 +8,7 @@
 
 namespace gompresso::serve {
 
-void SeekIndex::append_segment(Segment segment) {
+std::uint64_t SeekIndex::append_segment(Segment segment) {
   const format::FileHeader& h = segment.header;
   const std::uint32_t seg_idx = static_cast<std::uint32_t>(segments_.size());
   std::uint64_t comp_off = segment.comp_offset + segment.header_bytes;
@@ -25,6 +25,7 @@ void SeekIndex::append_segment(Segment segment) {
   }
   total_uncompressed_ += h.uncompressed_size;
   segments_.push_back(std::move(segment));
+  return comp_off;
 }
 
 SeekIndex SeekIndex::build(ByteSource& source) {
@@ -65,6 +66,14 @@ SeekIndex SeekIndex::build(ByteSource& source) {
     reader.seek_to(seg_begin + seg_size);
   }
   index.comp_end_ = reader.offset();
+  return index;
+}
+
+SeekIndex SeekIndex::for_container(format::FileHeader header,
+                                   std::uint64_t header_bytes) {
+  SeekIndex index;
+  index.source_size_ = index.comp_end_ =
+      index.append_segment(Segment{std::move(header), 0, header_bytes});
   return index;
 }
 

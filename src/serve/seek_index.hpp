@@ -41,6 +41,10 @@ class SeekIndex {
   /// skipped over — so this is cheap even for huge files.
   static SeekIndex build(ByteSource& source);
 
+  /// The index of one container at offset 0 whose `header_bytes`-long
+  /// header the caller parsed (off a pipe) and validated.
+  static SeekIndex for_container(format::FileHeader header, std::uint64_t header_bytes);
+
   /// Sidecar round trip. deserialize() validates magic/version and
   /// rebuilds the block table from the stored segment headers.
   Bytes serialize() const;
@@ -75,7 +79,7 @@ class SeekIndex {
     std::uint64_t header_bytes = 0;  // serialized header length in the file
   };
 
-  void append_segment(Segment segment);
+  std::uint64_t append_segment(Segment segment);  // returns its end offset
 
   std::vector<Segment> segments_;
   std::vector<BlockEntry> blocks_;

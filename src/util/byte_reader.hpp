@@ -1,13 +1,11 @@
 // Buffered pull-based byte readers shared by the container parsers.
 //
 // The format layer parses headers out of three kinds of backing store: an
-// in-memory span (batch decompress), a std::istream (GMPS streaming), and
-// a serve::ByteSource (seek-index construction). ByteReader is the common
+// in-memory span (batch decompress), a std::istream (a pipe), and a
+// serve::ByteSource (seek-index construction). ByteReader is the common
 // cursor over all three: subclasses only supply windows of contiguous
 // bytes, while the varint / u32 / exact-read primitives run on raw window
-// pointers. This replaces the old one-byte-at-a-time istream::get()
-// varint loop in core/stream.cpp — every istream touch now moves a whole
-// buffer.
+// pointers.
 #pragma once
 
 #include <algorithm>
@@ -178,8 +176,8 @@ class SpanReader : public ByteReader {
 /// Buffered reader over a std::istream. All consumption of the stream
 /// must go through the reader once constructed: it reads ahead up to
 /// `buffer_size` bytes. Offsets are relative to the stream position at
-/// construction time. Seeking (skip over large extents) is used only when
-/// the stream reports itself seekable.
+/// construction time. It reads forward only (skip() reads and discards):
+/// its one user is decompress_stream() on a pipe.
 ///
 /// buffer_size = 1 makes consumption byte-exact: the reader never takes
 /// more from the stream than the caller parses (bulk read_exact() calls
@@ -188,15 +186,7 @@ class SpanReader : public ByteReader {
 class IstreamReader : public ByteReader {
  public:
   explicit IstreamReader(std::istream& in, std::size_t buffer_size = kDefaultBuffer)
-      : in_(in), buf_(std::max<std::size_t>(buffer_size, 1)) {
-    const std::istream::pos_type probe = in_.tellg();
-    seekable_ = probe != std::istream::pos_type(-1);
-    if (seekable_) {
-      base_ = probe;
-    } else {
-      in_.clear();  // a failed tellg may latch failbit on some streambufs
-    }
-  }
+      : in_(in), buf_(std::max<std::size_t>(buffer_size, 1)) {}
 
   static constexpr std::size_t kDefaultBuffer = 64 * 1024;
 
@@ -208,15 +198,6 @@ class IstreamReader : public ByteReader {
     check_io(got > 0 || in_.eof(), "read: stream read failed");
     if (got > 0) in_.clear();  // clear eof latched by a short final read
     return ByteSpan(buf_.data(), got);
-  }
-
-  bool try_seek(std::uint64_t abs) override {
-    if (!seekable_) return false;
-    in_.clear();
-    in_.seekg(base_ + static_cast<std::streamoff>(abs));
-    check_io(in_.good(), "read: stream seek failed");
-    reset_cursor(abs);
-    return true;
   }
 
   void read_direct(MutableByteSpan dst) override {
@@ -238,8 +219,6 @@ class IstreamReader : public ByteReader {
  private:
   std::istream& in_;
   Bytes buf_;
-  std::istream::pos_type base_{};
-  bool seekable_ = false;
 };
 
 }  // namespace gompresso::util

@@ -35,6 +35,10 @@ PoolObs& pool_obs() {
 // callee pool's index bound.
 thread_local const ThreadPool* tls_current_pool = nullptr;
 thread_local std::size_t tls_worker_index = 0;
+// The pool that spawned this thread (current()). Unlike tls_current_pool
+// it also holds while a worker runs a submitted task, whose parallel_for
+// on the same pool dispatches normally.
+thread_local ThreadPool* tls_owner_pool = nullptr;
 
 }  // namespace
 
@@ -105,6 +109,7 @@ void ThreadPool::run_job(Job& job, std::size_t worker_index) const {
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
+  tls_owner_pool = this;
   std::uint64_t served_generation = 0;
   while (true) {
     std::shared_ptr<Job> job;
@@ -198,7 +203,8 @@ void ThreadPool::run(std::size_t count,
     while (job->done.load(std::memory_order_acquire) < job->count) {
       done_cv_.wait(mutex_);
     }
-    current_.reset();
+    // Tasks fanning out run jobs concurrently: keep a newer job's helpers.
+    if (current_ == job) current_.reset();
   }
   std::exception_ptr error;
   {
@@ -230,6 +236,8 @@ void ThreadPool::parallel_for_chunked(
     fn(begin, std::min(count, begin + grain));
   });
 }
+
+ThreadPool* ThreadPool::current() { return tls_owner_pool; }
 
 ThreadPool& default_pool() {
   static ThreadPool pool;

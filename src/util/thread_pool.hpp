@@ -25,6 +25,9 @@
 //     subsystem's pipelined prefetcher rides on: each in-flight block is
 //     one submitted decode task, and the queue bound is the backstop
 //     behind the session's own in-flight window.
+//   * A submitted task may fan out over its own pool (current()): the
+//     task's thread takes part in its parallel_for, so the job completes
+//     even when every worker is busy in such a task.
 #pragma once
 
 #include <atomic>
@@ -95,6 +98,9 @@ class ThreadPool {
 
   /// True when submit() executes asynchronously (spawned workers exist).
   bool async() const { return !threads_.empty(); }
+
+  /// The pool that spawned the calling thread (nullptr if none did).
+  static ThreadPool* current();
 
  private:
   struct Job {

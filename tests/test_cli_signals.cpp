@@ -1,14 +1,15 @@
 // Regression tests for the CLI binary: SIGINT mid-`gomp cat --trace`
 // must still finish the trace file and exit 130, SIGTERM against
 // `gomp serve` must drain gracefully and exit 0, and `gomp d` must read
-// every container `open()` reads. The tests fork/exec the real binary
-// (a sibling of this test executable) so the handlers, the TraceGuard
-// teardown order, and the exit codes are exercised exactly as a user
-// would hit them.
+// every container `open()` reads, from a pipe too. The tests fork/exec
+// the real binary (a sibling of this test executable) so the handlers,
+// the TraceGuard teardown order, and the exit codes are exercised
+// exactly as a user would hit them.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -53,9 +54,11 @@ void write_archive(const std::string& path, std::size_t input_size) {
   ASSERT_TRUE(out.good());
 }
 
-/// fork/exec the CLI with stdout redirected to `stdout_fd` (or
-/// inherited when -1). Returns the child pid.
-pid_t spawn_cli(const std::vector<std::string>& args, int stdout_fd) {
+/// fork/exec the CLI with stdout (and stderr) redirected to
+/// `stdout_fd` (`stderr_fd`), or inherited when -1. Returns the child
+/// pid.
+pid_t spawn_cli(const std::vector<std::string>& args, int stdout_fd,
+                int stderr_fd = -1) {
   const std::string bin = cli_binary();
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(bin.c_str()));
@@ -67,6 +70,10 @@ pid_t spawn_cli(const std::vector<std::string>& args, int stdout_fd) {
     if (stdout_fd >= 0) {
       dup2(stdout_fd, STDOUT_FILENO);
       close(stdout_fd);
+    }
+    if (stderr_fd >= 0) {
+      dup2(stderr_fd, STDERR_FILENO);
+      close(stderr_fd);
     }
     execv(bin.c_str(), argv.data());
     _exit(127);
@@ -227,6 +234,78 @@ TEST(CliDecompress, ReadsGzipAndGmpsInput) {
   EXPECT_EQ(run_decompress({"--strategy", "de", gmps_no_de, back}), 1);
 
   for (const std::string& path : {raw, gz, gmps, gmps_no_de, back}) {
+    std::remove(path.c_str());
+  }
+}
+
+std::string read_text(const std::string& path) {
+  const Bytes b = read_bytes(path);
+  return std::string(b.begin(), b.end());
+}
+
+TEST(CliDecompress, ReadsAFifoThatSessionVerbsReject) {
+  const std::string fifo = temp_path("d.fifo");
+  const std::string back = temp_path("fifo.back");
+  const std::string out_log = temp_path("fifo.stdout");
+  const std::string err_log = temp_path("fifo.stderr");
+  const Bytes input = datagen::wikipedia(300000);
+  CompressOptions opt;
+  opt.block_size = 16 * 1024;
+  const Bytes archive = compress(input, opt);
+  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  // The child may exit before reading everything; a write must then
+  // fail instead of killing this process.
+  const auto old_sigpipe = signal(SIGPIPE, SIG_IGN);
+
+  // gomp d reads the FIFO forward: byte-equal output, no compressed size.
+  const int out_fd = ::open(out_log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  const pid_t pid = spawn_cli({"d", fifo, back}, out_fd);
+  close(out_fd);
+  ASSERT_GT(pid, 0);
+  // Open the writing end once the child has opened the reading end (a
+  // non-blocking open fails with ENXIO until then), then write blocking.
+  int wfd = -1;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (wfd < 0 && std::chrono::steady_clock::now() < deadline) {
+    wfd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (wfd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(wfd, 0) << "gomp d never opened the FIFO";
+  ASSERT_EQ(fcntl(wfd, F_SETFL, fcntl(wfd, F_GETFL) & ~O_NONBLOCK), 0);
+  std::size_t sent = 0;
+  while (sent < archive.size()) {
+    const ssize_t n = write(wfd, archive.data() + sent, archive.size() - sent);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  close(wfd);
+  EXPECT_EQ(sent, archive.size());
+  const int status = wait_for_exit(pid, 60000);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(read_bytes(back), input);
+  EXPECT_EQ(read_text(out_log).rfind(fifo + ": -> " + std::to_string(input.size()) +
+                                         " bytes",
+                                     0),
+            0u)
+      << read_text(out_log);
+
+  // A session verb needs random access: a typed error naming the cause,
+  // not "unrecognized container format", and no wait for a writer.
+  const int err_fd = ::open(err_log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  const int devnull = ::open("/dev/null", O_WRONLY);
+  const pid_t cat = spawn_cli({"cat", fifo, back}, devnull, err_fd);
+  close(devnull);
+  close(err_fd);
+  ASSERT_GT(cat, 0);
+  const int cat_status = wait_for_exit(cat, 15000);
+  ASSERT_TRUE(WIFEXITED(cat_status));
+  EXPECT_EQ(WEXITSTATUS(cat_status), 1);
+  EXPECT_NE(read_text(err_log).find("not a regular file"), std::string::npos)
+      << read_text(err_log);
+
+  signal(SIGPIPE, old_sigpipe);
+  for (const std::string& path : {fifo, back, out_log, err_log}) {
     std::remove(path.c_str());
   }
 }

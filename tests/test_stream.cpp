@@ -1,6 +1,8 @@
 // Tests for the bounded-memory streaming layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <sstream>
 
@@ -10,6 +12,8 @@
 #include "datagen/datasets.hpp"
 #include "format/header.hpp"
 #include "obs/metrics.hpp"
+#include "serve/decode_session.hpp"
+#include "util/byte_reader.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso {
@@ -365,6 +369,133 @@ TEST(Stream, ExplicitDeStrategyRejectedOnNonDeStream) {
   std::ostringstream out;
   EXPECT_EQ(decompress_stream(cin, out), input.size());
   EXPECT_EQ(out.str(), to_string(input));
+}
+
+/// The header of a GMPS stream's first segment, and where its block
+/// payloads begin.
+format::FileHeader first_segment_header(const std::string& stream,
+                                        std::size_t* payload_begin) {
+  util::SpanReader reader(ByteSpan(reinterpret_cast<const std::uint8_t*>(stream.data()),
+                                   stream.size()));
+  EXPECT_EQ(reader.read_u32le(), kStreamMagic);
+  reader.read_varint();  // segment size
+  format::FileHeader header = format::FileHeader::deserialize(reader);
+  *payload_begin = static_cast<std::size_t>(reader.offset());
+  return header;
+}
+
+std::uint64_t histogram_count(const obs::MetricsSnapshot& snap, const char* name) {
+  const obs::MetricValue* m = snap.find(name);
+  return m == nullptr ? 0 : m->hist.count();
+}
+
+std::uint64_t histogram_sum(const obs::MetricsSnapshot& snap, const char* name) {
+  const obs::MetricValue* m = snap.find(name);
+  return m == nullptr ? 0 : m->hist.sum;
+}
+
+TEST(Stream, PipeSegmentCutMidBlockIsFormatErrorAndNotRetried) {
+  const Bytes input = datagen::wikipedia(300000);
+  std::istringstream in(to_string(input));
+  std::ostringstream compressed;
+  CompressOptions opt;
+  opt.block_size = 32 * 1024;
+  compress_stream(in, compressed, opt, 1u << 20);
+  const std::string full = compressed.str();
+  std::size_t payload = 0;
+  const format::FileHeader h = first_segment_header(full, &payload);
+  ASSERT_GT(h.num_blocks(), 3u);
+  // Halfway through the third block's payload.
+  const std::size_t cut = payload +
+                          static_cast<std::size_t>(h.block_compressed_sizes[0] +
+                                                   h.block_compressed_sizes[1] +
+                                                   h.block_compressed_sizes[2] / 2);
+  const std::uint64_t retries_before = obs::metrics_snapshot().counter("serve.retries");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SequentialBuf buf(full.substr(0, cut));
+    std::istream cin(&buf);
+    cin.clear();
+    std::ostringstream out;
+    DecompressOptions dopt;
+    dopt.num_threads = threads;
+    EXPECT_THROW(decompress_stream(cin, out, dopt), FormatError) << threads;
+  }
+  EXPECT_EQ(obs::metrics_snapshot().counter("serve.retries"), retries_before);
+}
+
+TEST(Stream, PipeBufferStaysBoundedAndPrefetches) {
+  // One segment of 256 blocks: the forward buffer must hold only the
+  // blocks of one copy chunk plus the lookahead window, never the
+  // segment.
+  constexpr std::uint32_t kBlock = 16 * 1024;
+  const Bytes input = datagen::wikipedia(256 * kBlock);
+  std::istringstream in(to_string(input));
+  std::ostringstream compressed;
+  CompressOptions opt;
+  opt.block_size = kBlock;
+  compress_stream(in, compressed, opt, input.size());
+  const std::string full = compressed.str();
+  std::size_t payload = 0;
+  const format::FileHeader h = first_segment_header(full, &payload);
+  ASSERT_GE(h.num_blocks(), 64u);
+  const std::uint64_t largest = *std::max_element(h.block_compressed_sizes.begin(),
+                                                  h.block_compressed_sizes.end());
+  std::uint64_t segment_payload = 0;
+  for (const std::uint64_t size : h.block_compressed_sizes) segment_payload += size;
+  const std::uint64_t bound = (kStreamCopyChunk / kBlock +
+                               serve::SessionOptions{}.max_inflight_blocks + 1) *
+                              largest;
+  ASSERT_LT(bound, segment_payload) << "the bound must be tighter than the segment";
+
+  const obs::MetricsSnapshot before = obs::metrics_snapshot();
+  SequentialBuf buf(full);
+  std::istream cin(&buf);
+  cin.clear();
+  std::ostringstream out;
+  DecompressOptions dopt;
+  dopt.num_threads = 4;
+  EXPECT_EQ(decompress_stream(cin, out, dopt), input.size());
+  EXPECT_EQ(out.str(), to_string(input));
+  const obs::MetricsSnapshot after = obs::metrics_snapshot();
+
+  const char* peak = "stream.pipe_buffer_peak_bytes";
+  ASSERT_EQ(histogram_count(after, peak) - histogram_count(before, peak), 1u)
+      << "one sample per container";
+  const std::uint64_t held = histogram_sum(after, peak) - histogram_sum(before, peak);
+  EXPECT_GT(held, 0u);
+  EXPECT_LE(held, bound);
+  // The session looked ahead of the copy loop's reads.
+  EXPECT_GT(after.counter("serve.prefetch_decodes") -
+                before.counter("serve.prefetch_decodes"),
+            0u);
+}
+
+TEST(Stream, PipeLyingCompressedSizeFailsPromptly) {
+  // A bare header claiming one 1 GiB block of 16 GiB compressed (within
+  // the plausibility bound) followed by a few KiB: the pipe runs dry
+  // long before the claim, and nothing is sized by the claim.
+  format::FileHeader h;
+  h.block_size = 1u << 30;
+  h.uncompressed_size = 1ull << 30;
+  h.block_compressed_sizes = {16ull << 30};
+  Bytes data = h.serialize();
+  data.resize(data.size() + 4096, 0x5A);
+  const auto start = std::chrono::steady_clock::now();
+  SequentialBuf buf(std::string(data.begin(), data.end()));
+  std::istream cin(&buf);
+  cin.clear();
+  std::ostringstream out;
+  DecompressOptions dopt;
+  dopt.num_threads = 4;
+  try {
+    decompress_stream(cin, out, dopt);
+    ADD_FAILURE() << "a lying compressed size decoded";
+  } catch (const FormatError& e) {
+    // The pipe ran dry: not rejected up front as implausible.
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST(Stream, FileRoundTrip) {

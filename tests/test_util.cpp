@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "util/bounded_queue.hpp"
 #include "util/buffer_pool.hpp"
@@ -330,6 +332,40 @@ TEST(ThreadPoolSubmit, InterleavesWithParallelFor) {
   }
   EXPECT_EQ(task_hits.load(), 50);
   EXPECT_EQ(for_hits.load(), 100);
+}
+
+TEST(ThreadPoolSubmit, TasksFanOutOverTheirOwnPool) {
+  // Every worker busy in a task that runs a parallel_for on the same
+  // pool (a lone block's lanes in a decode session): each task's own
+  // thread takes part in its job, so all of them finish.
+  constexpr std::size_t kIndices = 97;
+  ThreadPool pool(4);
+  const std::size_t tasks = 3 * pool.parallelism();
+  std::vector<std::atomic<int>> hits(tasks * kIndices);
+  std::atomic<std::size_t> entered{0};
+  std::atomic<std::size_t> finished{0};
+  std::atomic<int> wrong_pool{0};
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    pool.submit([&, t] {
+      if (ThreadPool::current() != &pool) wrong_pool.fetch_add(1);
+      // The first wave holds until every worker is inside a task.
+      if (entered.fetch_add(1) < pool.num_threads()) {
+        while (entered.load() < pool.num_threads()) std::this_thread::yield();
+      }
+      pool.parallel_for(kIndices, [&](std::size_t i) {
+        hits[t * kIndices + i].fetch_add(1);
+      });
+      finished.fetch_add(1);
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (finished.load() < tasks && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(finished.load(), tasks) << "a task fanning out over its pool hung";
+  EXPECT_EQ(wrong_pool.load(), 0);
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(BoundedQueue, FifoOrderAndBackpressure) {
