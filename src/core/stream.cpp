@@ -38,8 +38,9 @@ OpenOptions open_options(const DecompressOptions& options) {
 /// Forward-only ByteSource over one native container on a pipe, in the
 /// container's own offsets; its header is parsed already, so the buffer
 /// starts empty at `begin`. It holds the bytes [released, filled): only
-/// the copy loop moves the pipe, decode tasks copy out concurrently, and
-/// a read_at outside the window is API misuse (never retried).
+/// the copy loop moves the pipe (advance()), decode tasks copy out
+/// concurrently, and a read_at outside the window is API misuse (never
+/// retried).
 class PipeWindow final : public serve::ByteSource {
  public:
   PipeWindow(util::ByteReader& pipe, std::uint64_t begin, std::uint64_t size,
@@ -66,32 +67,27 @@ class PipeWindow final : public serve::ByteSource {
     std::memcpy(dst.data(), buf_.data() + (offset - released_), dst.size());
   }
 
-  /// Before a session read of `len` bytes at `cursor`: reads the pipe
-  /// through the last block that read may schedule (the blocks it
-  /// covers, then the session's lookahead window).
-  void before_read(const serve::DecodeSession& s, std::uint64_t cursor,
-                   std::size_t len) {
+  /// Before a session read of `len` bytes at `cursor`: drops the blocks
+  /// wholly behind the cursor (earlier reads waited for their decodes),
+  /// then reads the pipe through the last block this read may schedule
+  /// (the blocks it covers, then the session's lookahead window).
+  void advance(const serve::DecodeSession& s, std::uint64_t cursor, std::size_t len) {
     if (cursor >= s.size()) return;
-    const std::size_t last =
-        s.backend().block_containing(std::min<std::uint64_t>(s.size(), cursor + len) - 1);
-    fill_to(block_start(s, last + lookahead_));
-  }
-
-  /// After a read: drops the blocks wholly behind the cursor (the read
-  /// waited for their decodes).
-  void after_read(const serve::DecodeSession& s, std::uint64_t cursor) {
-    const std::uint64_t to = block_start(
-        s, cursor < s.size() ? s.backend().block_containing(cursor) : s.num_blocks());
-    util::MutexLock lock(mutex_);
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(to - released_));
-    released_ = to;
+    const auto block_start = [&](std::size_t b) {
+      return b < s.num_blocks() ? s.block_extent(b).comp_offset : size_;
+    };
+    const serve::ContainerBackend& backend = s.backend();
+    const std::uint64_t drop = block_start(backend.block_containing(cursor));
+    {
+      util::MutexLock lock(mutex_);
+      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(drop - released_));
+      released_ = drop;
+    }
+    const std::uint64_t last = std::min<std::uint64_t>(s.size(), cursor + len) - 1;
+    fill_to(block_start(backend.block_containing(last) + lookahead_));
   }
 
  private:
-  std::uint64_t block_start(const serve::DecodeSession& s, std::size_t b) const {
-    return b < s.num_blocks() ? s.block_extent(b).comp_offset : size_;
-  }
-
   void fill_to(std::uint64_t end) {
     // Grow while reading, at most 16 MiB ahead of the bytes received, so
     // a lying size fails at EOF (the reader's FormatError, which no
@@ -134,10 +130,9 @@ std::uint64_t copy_session(serve::DecodeSession& session, std::ostream& out,
   Bytes chunk(kStreamCopyChunk);
   std::uint64_t total = 0;
   while (true) {
-    if (pipe != nullptr) pipe->before_read(session, total, chunk.size());
+    if (pipe != nullptr) pipe->advance(session, total, chunk.size());
     const std::size_t n = session.read(MutableByteSpan(chunk.data(), chunk.size()));
     if (n == 0) break;
-    if (pipe != nullptr) pipe->after_read(session, total + n);
     write_bytes(out, ByteSpan(chunk.data(), n));
     total += n;
   }
@@ -202,7 +197,10 @@ std::uint64_t decompress_pipe_container(util::ByteReader& reader,
     check_format(index.block(b).comp_size <= 16ull * index.block(b).uncomp_size + 65536,
                  "stream: implausible compressed block size");
   }
-  const OpenOptions oopt = open_options(options);
+  // Nothing on a pipe reads a block twice: the cache needs only the
+  // cursor's block (the session rounds it up to its window).
+  OpenOptions oopt = open_options(options);
+  oopt.session.cache_blocks = 1;
   auto window = std::make_unique<PipeWindow>(reader, header_bytes, index.source_size(),
                                              oopt.session.max_inflight_blocks);
   PipeWindow* pipe = window.get();

@@ -15,8 +15,7 @@ namespace {
 class GmpzBackend final : public ContainerBackend {
  public:
   GmpzBackend(SeekIndex index, const DecodeOptions& options)
-      : index_(std::move(index)), verify_checksums_(options.verify_checksums),
-        lone_block_(index_.num_blocks() == 1) {
+      : index_(std::move(index)), verify_checksums_(options.verify_checksums) {
     // Per-segment strategy, resolved once: a stream may mix DE and
     // non-DE segments, and an explicit DE request must be validated
     // against every segment before the first decode.
@@ -60,7 +59,7 @@ class GmpzBackend final : public ContainerBackend {
       // pool it runs on, as decompress() does, or the pool would idle.
       core::decode_block_at(index_.segment_header(e.segment), comp.cspan(), out,
                             segment_strategy_[e.segment], verify_checksums_, *ctx,
-                            lone_block_ ? ThreadPool::current() : nullptr);
+                            index_.num_blocks() == 1 ? ThreadPool::current() : nullptr);
     } catch (...) {
       push_context(std::move(ctx));
       throw;
@@ -89,7 +88,6 @@ class GmpzBackend final : public ContainerBackend {
 
   const SeekIndex index_;
   const bool verify_checksums_;
-  const bool lone_block_;
   std::vector<Strategy> segment_strategy_;
 
   util::Mutex mutex_;

@@ -35,10 +35,10 @@ PoolObs& pool_obs() {
 // callee pool's index bound.
 thread_local const ThreadPool* tls_current_pool = nullptr;
 thread_local std::size_t tls_worker_index = 0;
-// The pool that spawned this thread (current()). Unlike tls_current_pool
-// it also holds while a worker runs a submitted task, whose parallel_for
-// on the same pool dispatches normally.
-thread_local ThreadPool* tls_owner_pool = nullptr;
+// The pool whose submitted task the current thread is running (current()),
+// nullptr outside any task. A task's parallel_for on that pool dispatches
+// normally; the task's thread takes part in the job.
+thread_local ThreadPool* tls_task_pool = nullptr;
 
 }  // namespace
 
@@ -109,7 +109,6 @@ void ThreadPool::run_job(Job& job, std::size_t worker_index) const {
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
-  tls_owner_pool = this;
   std::uint64_t served_generation = 0;
   while (true) {
     std::shared_ptr<Job> job;
@@ -146,7 +145,9 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     while (tasks_.try_pop(task)) {
       pool_obs().queue_depth.add(-1);
       pool_obs().workers_busy.add(1);
+      tls_task_pool = this;
       task();
+      tls_task_pool = nullptr;
       pool_obs().workers_busy.add(-1);
     }
   }
@@ -174,25 +175,33 @@ void ThreadPool::run(std::size_t count,
                      const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
   const bool nested_same_pool = tls_current_pool == this;
-  if (threads_.empty() || count == 1 || nested_same_pool) {
-    // Inline path: no workers, trivial job, or a nested call on the same
+  std::shared_ptr<Job> job;
+  if (!threads_.empty() && count != 1 && !nested_same_pool) {
+    job = std::make_shared<Job>();
+    job->fn = &fn;
+    job->count = count;
+    util::MutexLock lock(mutex_);
+    // A task's job never takes the slot from a running job: the helpers
+    // that had not joined that job yet would serve this one instead.
+    if (tls_task_pool == this && current_ != nullptr) {
+      job.reset();
+    } else {
+      current_ = job;
+      ++generation_;
+    }
+  }
+  if (job == nullptr) {
+    // Inline path: no workers, trivial job, a nested call on the same
     // pool from inside one of its jobs (re-entering the dispatcher would
-    // deadlock). The nested call keeps the enclosing job's worker index
-    // so per-worker slots stay exclusive; calls into a different pool
-    // take the normal dispatch path instead.
+    // deadlock), or a task's call while the pool is busy. The nested call
+    // keeps the enclosing job's worker index so per-worker slots stay
+    // exclusive; calls into a different pool take the normal dispatch
+    // path instead.
     const std::size_t worker = nested_same_pool ? tls_worker_index : 0;
     for (std::size_t i = 0; i < count; ++i) fn(worker, i);
     return;
   }
   pool_obs().jobs_dispatched.add(1);
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  job->count = count;
-  {
-    util::MutexLock lock(mutex_);
-    current_ = job;
-    ++generation_;
-  }
   cv_.notify_all();
   run_job(*job, 0);  // caller participates via the same common queue
   {
@@ -237,7 +246,7 @@ void ThreadPool::parallel_for_chunked(
   });
 }
 
-ThreadPool* ThreadPool::current() { return tls_owner_pool; }
+ThreadPool* ThreadPool::current() { return tls_task_pool; }
 
 ThreadPool& default_pool() {
   static ThreadPool pool;

@@ -27,7 +27,8 @@
 //     behind the session's own in-flight window.
 //   * A submitted task may fan out over its own pool (current()): the
 //     task's thread takes part in its parallel_for, so the job completes
-//     even when every worker is busy in such a task.
+//     even when every worker is busy in such a task. While another job
+//     holds the pool, a task's parallel_for runs inline instead.
 #pragma once
 
 #include <atomic>
@@ -99,7 +100,8 @@ class ThreadPool {
   /// True when submit() executes asynchronously (spawned workers exist).
   bool async() const { return !threads_.empty(); }
 
-  /// The pool that spawned the calling thread (nullptr if none did).
+  /// The pool whose submitted task the calling thread is running
+  /// (nullptr outside a task, including inside a parallel_for job).
   static ThreadPool* current();
 
  private:

@@ -366,6 +366,12 @@ TEST(ThreadPoolSubmit, TasksFanOutOverTheirOwnPool) {
   ASSERT_EQ(finished.load(), tasks) << "a task fanning out over its pool hung";
   EXPECT_EQ(wrong_pool.load(), 0);
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  // current() names a task's pool only while the task runs: a job's
+  // indices on the same workers see none.
+  pool.parallel_for(kIndices, [&](std::size_t) {
+    if (ThreadPool::current() != nullptr) wrong_pool.fetch_add(1);
+  });
+  EXPECT_EQ(wrong_pool.load(), 0);
 }
 
 TEST(BoundedQueue, FifoOrderAndBackpressure) {
