@@ -641,7 +641,8 @@ int cmd_decompress(int argc, char** argv) {
     source = serve::open_file_source(input_path);
   }
   if (source == nullptr || sniff_source(*source) != format::ContainerKind::kGmpz) {
-    // GMPS streams, gzip and pipes decode through the session path of
+    // GMPS streams and gzip decode through decompress_file(): a regular
+    // file through the pread session of open(path), a pipe forward through
     // decompress_stream(), with the same options (--strategy applies to
     // every native segment).
     TraceGuard trace(trace_path);

@@ -3,7 +3,7 @@
 // A block payload is what the per-block size list delimits in Fig. 3:
 // CRC32, mode byte, then the codec body. decompress() runs the whole
 // file through decode_blocks(), the batch thread plan (§III). Every
-// session path (open(), and decompress_stream() on a file or a pipe)
+// session path (open(), and decompress_stream() on any istream)
 // decodes one block per task through decode_block_at(), via the serve
 // GMPZ backend.
 #pragma once

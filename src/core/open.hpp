@@ -3,7 +3,7 @@
 // One call sniffs the container magic (format/sniff.hpp), builds or
 // loads the matching ContainerBackend, and returns a ready
 // DecodeSession — so every consumer (gomp cat/range/serve/verify, the
-// net daemon, decompress_stream's seekable path) gets prefetch, LRU
+// net daemon, decompress_file() on a regular file) gets prefetch, LRU
 // caching, retry/backoff, damage-tolerant reads, and serve.* metrics
 // regardless of whether the bytes are GMPZ, GMPS, or gzip.
 //

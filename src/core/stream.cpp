@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <memory>
@@ -35,12 +36,12 @@ OpenOptions open_options(const DecompressOptions& options) {
   return oopt;
 }
 
-/// Forward-only ByteSource over one native container on a pipe, in the
-/// container's own offsets; its header is parsed already, so the buffer
-/// starts empty at `begin`. It holds the bytes [released, filled): only
-/// the copy loop moves the pipe (advance()), decode tasks copy out
-/// concurrently, and a read_at outside the window is API misuse (never
-/// retried).
+/// Forward-only ByteSource over one native container read off an istream
+/// (a pipe or not), in the container's own offsets; its header is parsed
+/// already, so the buffer starts empty at `begin`. It holds the bytes
+/// [released, filled): only the copy loop moves the pipe (advance()),
+/// decode tasks copy out concurrently, and a read_at outside the window
+/// is API misuse (never retried).
 class PipeWindow final : public serve::ByteSource {
  public:
   PipeWindow(util::ByteReader& pipe, std::uint64_t begin, std::uint64_t size,
@@ -124,7 +125,7 @@ class PipeWindow final : public serve::ByteSource {
 
 /// Copies a session's whole payload to `out` through its sequential
 /// cursor (pipelined prefetch; memory bounded by the session window).
-/// Every decode path runs this loop; on a pipe it also moves `pipe`.
+/// Every decode path runs this loop; on a stream it also moves `pipe`.
 std::uint64_t copy_session(serve::DecodeSession& session, std::ostream& out,
                            PipeWindow* pipe = nullptr) {
   Bytes chunk(kStreamCopyChunk);
@@ -139,26 +140,10 @@ std::uint64_t copy_session(serve::DecodeSession& session, std::ostream& out,
   return total;
 }
 
-/// Decode path for seekable inputs: gompresso::open() sniffs the
-/// container (GMPS, bare GMPZ, or gzip) and a DecodeSession over the
-/// stream does the decode.
-std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
-                                        const DecompressOptions& options) {
-  const std::istream::pos_type base = in.tellg();
-  const std::unique_ptr<serve::DecodeSession> session =
-      open(serve::istream_source(in), open_options(options));
-  const std::uint64_t total = copy_session(*session, out);
-  // Leave the stream where sequential consumption would: just past the
-  // terminator (the session's random-access reads scattered the cursor).
-  in.clear();
-  in.seekg(base + static_cast<std::streamoff>(session->compressed_end()));
-  return total;
-}
-
-/// gzip on a pipe. A pipe cannot be rewound and the gzip index build
-/// reads the stream more than once, so the compressed bytes are slurped
-/// (O(compressed) memory) and decoded through the same open() session
-/// as a seekable input — with the same member CRC32/ISIZE checks.
+/// gzip off an istream. The stream is read forward and the gzip index
+/// build reads its source more than once, so the compressed bytes are
+/// slurped (O(compressed) memory) and decoded through an open() session
+/// over memory — with the same member CRC32/ISIZE checks as a file.
 std::uint64_t decompress_gzip_pipe(std::istream& in, ByteSpan prefix,
                                    std::ostream& out,
                                    const DecompressOptions& options) {
@@ -174,22 +159,25 @@ std::uint64_t decompress_gzip_pipe(std::istream& in, ByteSpan prefix,
     data.resize(old + static_cast<std::size_t>(in.gcount()));
   }
   check_io(in.eof(), "stream: read failed");
+  // Clear the eof the last short read latched, so a seekable stream's
+  // tellg() reports its end.
+  in.clear();
   const std::unique_ptr<serve::DecodeSession> session = open(
       serve::memory_source(ByteSpan(data.data(), data.size())), open_options(options));
   return copy_session(*session, out);
 }
 
-/// One native container on a pipe, its `header_bytes`-long header
+/// One native container off an istream, its `header_bytes`-long header
 /// parsed off `reader` already: a session over a PipeWindow.
 std::uint64_t decompress_pipe_container(util::ByteReader& reader,
                                         format::FileHeader header,
                                         std::uint64_t header_bytes, std::ostream& out,
                                         const DecompressOptions& options) {
-  // A pipe has no payload length to bound the header's sizes by (a file
-  // bounds them by its size). So cap the block at 1 GiB, as the CLI's
-  // --block does, and each block's compressed size at what any codec
-  // here could plausibly emit (well under 16x, even with degenerate
-  // sub-block settings), before anything is sized by them.
+  // A stream has no payload length to bound the header's sizes by (a
+  // file bounds them by its size). So cap the block at 1 GiB, as the
+  // CLI's --block does, and each block's compressed size at what any
+  // codec here could plausibly emit (well under 16x, even with
+  // degenerate sub-block settings), before anything is sized by them.
   check_format(header.block_size <= (1u << 30), "stream: implausible block size");
   serve::SeekIndex index =
       serve::SeekIndex::for_container(std::move(header), header_bytes);
@@ -197,8 +185,8 @@ std::uint64_t decompress_pipe_container(util::ByteReader& reader,
     check_format(index.block(b).comp_size <= 16ull * index.block(b).uncomp_size + 65536,
                  "stream: implausible compressed block size");
   }
-  // Nothing on a pipe reads a block twice: the cache needs only the
-  // cursor's block (the session rounds it up to its window).
+  // Nothing here reads a block twice: the cache needs only the cursor's
+  // block (the session rounds it up to its window).
   OpenOptions oopt = open_options(options);
   oopt.session.cache_blocks = 1;
   auto window = std::make_unique<PipeWindow>(reader, header_bytes, index.source_size(),
@@ -210,29 +198,29 @@ std::uint64_t decompress_pipe_container(util::ByteReader& reader,
   return copy_session(session, out, pipe);
 }
 
-/// Decode path for non-seekable inputs (pipes). Framing and headers are
-/// parsed byte-exactly; each native container then decodes through its
-/// own session (decompress_pipe_container).
-std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
-                                           const DecompressOptions& options) {
-  // buffer_size 1: a pipe cannot seek back, so the reader must consume
-  // byte-exactly — anything after the terminator belongs to the caller
-  // (e.g. a second concatenated stream). Framing varints and headers are
-  // a few hundred bytes per 64 MiB segment; the block payloads, which
-  // are the volume, go through read_exact's direct bulk path.
-  util::IstreamReader reader(in, /*buffer_size=*/1);
+}  // namespace
+
+std::uint64_t decompress_stream(std::istream& in, std::ostream& out,
+                                const DecompressOptions& options) {
+  // Every istream is read forward, seekable or not. The reader consumes
+  // byte-exactly: anything after the parsed container belongs to the
+  // caller (e.g. a second concatenated stream). Framing varints and
+  // headers are a few hundred bytes per 64 MiB segment; the block
+  // payloads, which are the volume, go through read_exact's direct bulk
+  // path.
+  util::IstreamReader reader(in);
 
   // One shared classifier decides the container — the same
-  // format::sniff_container() the session open path uses, so a format
-  // readable when seekable is readable on a pipe too.
+  // format::sniff_container() open() uses, so a format a file session
+  // reads is readable from a stream too.
   std::uint8_t prefix[format::kSniffBytes];
   reader.read_exact(MutableByteSpan(prefix, sizeof prefix));
   switch (format::sniff_container(ByteSpan(prefix, sizeof prefix))) {
     case format::ContainerKind::kGmpz: {
-      // A bare GMPZ container (accepted on either path): no framing, so
-      // there is no payload size to validate against — the size list
-      // alone delimits the blocks, and consumption stops exactly after
-      // the last. The block-count invariant still must hold, or a
+      // A bare GMPZ container: no framing, so there is no payload size
+      // to validate against — the size list alone delimits the blocks,
+      // and consumption stops exactly after the last (trailing bytes stay
+      // the caller's). The block-count invariant still must hold, or a
       // corrupt header claiming fewer blocks silently truncates the
       // output.
       format::FileHeader header = format::FileHeader::deserialize_body(reader);
@@ -265,8 +253,6 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
   return total;
 }
 
-}  // namespace
-
 std::uint64_t compress_stream(std::istream& in, std::ostream& out,
                               const CompressOptions& options,
                               std::size_t chunk_size) {
@@ -295,14 +281,6 @@ std::uint64_t compress_stream(std::istream& in, std::ostream& out,
   return total;
 }
 
-std::uint64_t decompress_stream(std::istream& in, std::ostream& out,
-                                const DecompressOptions& options) {
-  const bool seekable = in.tellg() != std::istream::pos_type(-1);
-  if (!seekable) in.clear();  // a failed tellg may latch failbit
-  return seekable ? decompress_stream_session(in, out, options)
-                  : decompress_stream_sequential(in, out, options);
-}
-
 std::uint64_t compress_file(const std::string& input_path,
                             const std::string& output_path,
                             const CompressOptions& options, std::size_t chunk_size) {
@@ -316,11 +294,21 @@ std::uint64_t compress_file(const std::string& input_path,
 std::uint64_t decompress_file(const std::string& input_path,
                               const std::string& output_path,
                               const DecompressOptions& options) {
-  std::ifstream in(input_path, std::ios::binary);
-  check(in.good(), "stream: cannot open input file");
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(input_path, ec)) {
+    // A pipe or device has no random access: read it forward.
+    std::ifstream in(input_path, std::ios::binary);
+    check(in.good(), "stream: cannot open input file");
+    std::ofstream out(output_path, std::ios::binary);
+    check(out.good(), "stream: cannot open output file");
+    return decompress_stream(in, out, options);
+  }
+  // The pread session `gomp cat` runs; open() sniffs the container.
+  const std::unique_ptr<serve::DecodeSession> session =
+      open(input_path, open_options(options));
   std::ofstream out(output_path, std::ios::binary);
   check(out.good(), "stream: cannot open output file");
-  return decompress_stream(in, out, options);
+  return copy_session(*session, out);
 }
 
 }  // namespace gompresso

@@ -11,14 +11,14 @@
 // Decompression rides on the serve subsystem: a DecodeSession copied out
 // through its sequential cursor (pipelined block prefetch, see
 // serve/decode_session.hpp), so memory stays bounded by the session
-// window. A seekable input is opened with gompresso::open(). On a pipe,
-// GMPS and bare GMPZ framing is parsed byte-exactly and each container
-// gets its own session over a forward-only buffer holding the blocks of
-// one copy chunk plus the lookahead window. gzip on a pipe is read whole
-// into memory (O(compressed)) and decoded through the same open()
-// session copy loop, so its member CRC32/ISIZE trailers are verified
-// either way. Both paths accept GMPS streams, bare GMPZ containers and
-// RFC 1952 gzip.
+// window. decompress_file() opens a regular file with gompresso::open(),
+// the pread session `gomp cat` runs. decompress_stream() reads any
+// istream forward: GMPS and bare GMPZ framing is parsed byte-exactly
+// (bytes after a bare GMPZ stay unread), and each container gets its own
+// session over a buffer of one copy chunk plus the lookahead window.
+// gzip from an istream is read whole (O(compressed)) and decoded through
+// an open() session over memory, with the same member CRC32/ISIZE
+// checks. Both accept GMPS streams, bare GMPZ and RFC 1952 gzip.
 //
 // Stream layout:
 //   u32le  magic "GMPS"
@@ -53,12 +53,13 @@ std::uint64_t compress_stream(std::istream& in, std::ostream& out,
                               const CompressOptions& options = {},
                               std::size_t chunk_size = kDefaultChunkSize);
 
-/// Decompresses a Gompresso stream from `in` to `out`. Returns the
-/// number of uncompressed bytes produced.
+/// Decompresses GMPS, bare GMPZ or gzip from `in` (read forward only) to
+/// `out`. Returns the number of uncompressed bytes produced.
 std::uint64_t decompress_stream(std::istream& in, std::ostream& out,
                                 const DecompressOptions& options = {});
 
-/// Convenience: file-path front ends.
+/// Convenience: file-path front ends. decompress_file() decodes a regular
+/// file through open(path), anything else (a pipe) via decompress_stream().
 std::uint64_t compress_file(const std::string& input_path,
                             const std::string& output_path,
                             const CompressOptions& options = {},

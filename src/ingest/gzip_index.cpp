@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <fstream>
-#include <iterator>
 #include <span>
 
 #include "obs/metrics.hpp"
@@ -531,14 +530,6 @@ void GzipIndex::save(const std::string& path) const {
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
   check_io(out.good(), "gzip: sidecar write failed");
-}
-
-GzipIndex GzipIndex::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  check_io(in.good(), "gzip: cannot open sidecar");
-  const Bytes data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return deserialize(data);
 }
 
 }  // namespace gompresso::ingest

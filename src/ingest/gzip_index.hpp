@@ -82,11 +82,11 @@ class GzipIndex {
 
   /// Sidecar round trip (same discipline as serve::SeekIndex):
   /// deserialize() validates magic/version and every invariant the
-  /// decode path depends on, since a sidecar is untrusted input.
+  /// decode path depends on, since a sidecar is untrusted input. open()
+  /// reads a saved sidecar through OpenOptions::sidecar_path.
   Bytes serialize() const;
   static GzipIndex deserialize(ByteSpan sidecar);
   void save(const std::string& path) const;
-  static GzipIndex load(const std::string& path);
 
   std::uint64_t total_uncompressed() const { return total_uncompressed_; }
   std::uint64_t source_size() const { return source_size_; }

@@ -6,8 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <istream>
-#include <mutex>
 
 namespace gompresso::serve {
 namespace {
@@ -77,42 +75,6 @@ class MemorySource final : public ByteSource {
   ByteSpan data_;
 };
 
-class IstreamSource final : public ByteSource {
- public:
-  explicit IstreamSource(std::istream& in) : in_(in) {
-    const std::istream::pos_type begin = in_.tellg();
-    check(begin != std::istream::pos_type(-1),
-          "serve: stream source requires a seekable stream");
-    base_ = begin;
-    in_.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in_.tellg();
-    check_io(in_.good(), "serve: stream seek failed");
-    size_ = static_cast<std::uint64_t>(end - begin);
-    in_.seekg(begin);
-  }
-
-  std::uint64_t size() const override { return size_; }
-
-  void read_at(std::uint64_t offset, MutableByteSpan dst) override {
-    check_format(offset <= size_ && dst.size() <= size_ - offset,
-                 "serve: read past end of input");
-    // One shared cursor: positional reads must serialize.
-    std::lock_guard<std::mutex> lock(mutex_);
-    in_.clear();
-    in_.seekg(base_ + static_cast<std::streamoff>(offset));
-    in_.read(reinterpret_cast<char*>(dst.data()),
-             static_cast<std::streamsize>(dst.size()));
-    check_io(static_cast<std::size_t>(in_.gcount()) == dst.size(),
-             "serve: stream read failed");
-  }
-
- private:
-  std::istream& in_;
-  std::istream::pos_type base_{};
-  std::uint64_t size_ = 0;
-  std::mutex mutex_;
-};
-
 }  // namespace
 
 std::unique_ptr<ByteSource> open_file_source(const std::string& path) {
@@ -121,10 +83,6 @@ std::unique_ptr<ByteSource> open_file_source(const std::string& path) {
 
 std::unique_ptr<ByteSource> memory_source(ByteSpan data) {
   return std::make_unique<MemorySource>(data);
-}
-
-std::unique_ptr<ByteSource> istream_source(std::istream& in) {
-  return std::make_unique<IstreamSource>(in);
 }
 
 }  // namespace gompresso::serve

@@ -2,13 +2,12 @@
 //
 // A DecodeSession never holds a whole compressed file in memory: it asks
 // a ByteSource for exactly the block extents the seek index names, on
-// whatever thread the prefetch pipeline decodes them. Three backends
-// cover the library's surfaces: a file (pread, naturally concurrent), an
-// in-memory span (tests and already-resident data), and a seekable
-// std::istream (the streaming front end in core/stream.cpp).
+// whatever thread the prefetch pipeline decodes them. Two backends
+// cover the library's surfaces: a file (pread, naturally concurrent) and
+// an in-memory span (tests and already-resident data). The streaming
+// front end in core/stream.cpp keeps its own forward-only window.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -40,20 +39,15 @@ std::unique_ptr<ByteSource> open_file_source(const std::string& path);
 /// it must outlive the source.
 std::unique_ptr<ByteSource> memory_source(ByteSpan data);
 
-/// Wraps a seekable std::istream (ifstream, istringstream). Offsets are
-/// relative to the stream position at wrap time; reads are serialized
-/// internally because an istream has a single cursor. The stream must
-/// outlive the source, which leaves the stream cursor unspecified.
-std::unique_ptr<ByteSource> istream_source(std::istream& in);
-
-/// Buffered sequential reader over a ByteSource (the seek-index scan and
-/// the container-header parsers run on this, sharing the varint/u32
-/// primitives with the istream front end in core/stream.cpp).
+/// Buffered sequential reader over a ByteSource (the seek-index scans
+/// and the container-header parsers run on this, sharing the varint/u32
+/// primitives with the istream front end in core/stream.cpp). Each
+/// window is one read_at of up to kBufferSize bytes.
 class SourceReader : public util::ByteReader {
  public:
-  explicit SourceReader(ByteSource& source,
-                        std::size_t buffer_size = util::IstreamReader::kDefaultBuffer)
-      : source_(source), buf_(std::max<std::size_t>(buffer_size, 64)) {}
+  static constexpr std::size_t kBufferSize = 64 * 1024;
+
+  explicit SourceReader(ByteSource& source) : source_(source), buf_(kBufferSize) {}
 
   /// Repositions the cursor to absolute offset `abs` (cheap — the
   /// backing store is random access). A target past the end of the

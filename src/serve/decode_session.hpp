@@ -237,7 +237,6 @@ class DecodeSession {
   /// Backend-neutral block table accessors.
   std::size_t num_blocks() const { return backend_->num_blocks(); }
   BackendBlock block_extent(std::size_t b) const { return backend_->block(b); }
-  std::uint64_t compressed_end() const { return backend_->compressed_end(); }
 
   /// The backend behind the session; backend().seek_index() is the
   /// native segment table for GMPZ/GMPS sources (nullptr otherwise).

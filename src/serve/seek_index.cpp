@@ -165,12 +165,4 @@ void SeekIndex::save(const std::string& path) const {
   check_io(out.good(), "serve: sidecar write failed");
 }
 
-SeekIndex SeekIndex::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  check_io(in.good(), "serve: cannot open sidecar");
-  const Bytes data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return deserialize(data);
-}
-
 }  // namespace gompresso::serve

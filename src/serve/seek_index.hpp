@@ -46,11 +46,11 @@ class SeekIndex {
   static SeekIndex for_container(format::FileHeader header, std::uint64_t header_bytes);
 
   /// Sidecar round trip. deserialize() validates magic/version and
-  /// rebuilds the block table from the stored segment headers.
+  /// rebuilds the block table from the stored segment headers; open()
+  /// reads a saved sidecar through OpenOptions::sidecar_path.
   Bytes serialize() const;
   static SeekIndex deserialize(ByteSpan sidecar);
   void save(const std::string& path) const;
-  static SeekIndex load(const std::string& path);
 
   std::uint64_t total_uncompressed() const { return total_uncompressed_; }
   /// Size of the source the index was built from (checked when a session

@@ -1,11 +1,11 @@
 // Buffered pull-based byte readers shared by the container parsers.
 //
 // The format layer parses headers out of three kinds of backing store: an
-// in-memory span (batch decompress), a std::istream (a pipe), and a
-// serve::ByteSource (seek-index construction). ByteReader is the common
-// cursor over all three: subclasses only supply windows of contiguous
-// bytes, while the varint / u32 / exact-read primitives run on raw window
-// pointers.
+// in-memory span (batch decompress), a std::istream (decompress_stream),
+// and a serve::ByteSource (seek-index construction). ByteReader is the
+// common cursor over all three: subclasses only supply windows of
+// contiguous bytes, while the varint / u32 / exact-read primitives run on
+// raw window pointers.
 #pragma once
 
 #include <algorithm>
@@ -173,31 +173,22 @@ class SpanReader : public ByteReader {
   bool served_ = false;
 };
 
-/// Buffered reader over a std::istream. All consumption of the stream
-/// must go through the reader once constructed: it reads ahead up to
-/// `buffer_size` bytes. Offsets are relative to the stream position at
-/// construction time. It reads forward only (skip() reads and discards):
-/// its one user is decompress_stream() on a pipe.
-///
-/// buffer_size = 1 makes consumption byte-exact: the reader never takes
-/// more from the stream than the caller parses (bulk read_exact() calls
-/// bypass the window entirely), which is what a non-seekable pipe needs
-/// when bytes after the parsed region belong to someone else.
+/// Byte-exact forward reader over a std::istream: it never takes more
+/// from the stream than the caller parses, so bytes after the parsed
+/// region stay the caller's. Small reads (varints, headers) pull one
+/// byte at a time; bulk read_exact() calls bypass the window entirely.
+/// Offsets are relative to the stream position at construction time,
+/// and skip() reads and discards. Its one user is decompress_stream().
 class IstreamReader : public ByteReader {
  public:
-  explicit IstreamReader(std::istream& in, std::size_t buffer_size = kDefaultBuffer)
-      : in_(in), buf_(std::max<std::size_t>(buffer_size, 1)) {}
-
-  static constexpr std::size_t kDefaultBuffer = 64 * 1024;
+  explicit IstreamReader(std::istream& in) : in_(in) {}
 
  protected:
   ByteSpan next_window() override {
-    in_.read(reinterpret_cast<char*>(buf_.data()),
-             static_cast<std::streamsize>(buf_.size()));
+    in_.read(reinterpret_cast<char*>(&byte_), 1);
     const std::size_t got = static_cast<std::size_t>(in_.gcount());
     check_io(got > 0 || in_.eof(), "read: stream read failed");
-    if (got > 0) in_.clear();  // clear eof latched by a short final read
-    return ByteSpan(buf_.data(), got);
+    return ByteSpan(&byte_, got);
   }
 
   void read_direct(MutableByteSpan dst) override {
@@ -218,7 +209,7 @@ class IstreamReader : public ByteReader {
 
  private:
   std::istream& in_;
-  Bytes buf_;
+  std::uint8_t byte_ = 0;
 };
 
 }  // namespace gompresso::util

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -14,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "serve/decode_session.hpp"
 #include "util/byte_reader.hpp"
+#include "util/crc32.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso {
@@ -155,8 +157,9 @@ TEST(Stream, NonSeekableInputUsesSequentialBoundedPath) {
 }
 
 TEST(Stream, NonSeekableConsumptionIsByteExact) {
-  // Two concatenated streams through one pipe: the first decode must
-  // consume exactly through its terminator so the second still parses.
+  // Two concatenated streams through one pipe, and through a seekable
+  // stream (read forward the same way): the first decode must consume
+  // exactly through its terminator so the second still parses.
   const Bytes a = datagen::wikipedia(120000);
   const Bytes b = datagen::matrix(90000);
   std::string both;
@@ -168,14 +171,19 @@ TEST(Stream, NonSeekableConsumptionIsByteExact) {
     compress_stream(in, compressed, opt, 64 * 1024);
     both += compressed.str();
   }
+  const auto decode_both = [&](std::istream& cin) {
+    std::ostringstream out_a, out_b;
+    EXPECT_EQ(decompress_stream(cin, out_a), a.size());
+    EXPECT_EQ(out_a.str(), to_string(a));
+    EXPECT_EQ(decompress_stream(cin, out_b), b.size());
+    EXPECT_EQ(out_b.str(), to_string(b));
+  };
   SequentialBuf buf(both);
-  std::istream cin(&buf);
-  cin.clear();
-  std::ostringstream out_a, out_b;
-  EXPECT_EQ(decompress_stream(cin, out_a), a.size());
-  EXPECT_EQ(out_a.str(), to_string(a));
-  EXPECT_EQ(decompress_stream(cin, out_b), b.size());
-  EXPECT_EQ(out_b.str(), to_string(b));
+  std::istream pipe(&buf);
+  pipe.clear();
+  decode_both(pipe);
+  std::istringstream seekable(both);
+  decode_both(seekable);
 }
 
 TEST(Stream, NonSeekableAcceptsBareContainer) {
@@ -311,16 +319,18 @@ TEST(Stream, NonSeekableTruncatedInputThrows) {
 }
 
 TEST(Stream, DecompressStreamAcceptsBareContainer) {
-  // The session-backed decoder serves a plain GMPZ container through the
-  // streaming front end too.
+  // The streaming front end serves a plain GMPZ container from a
+  // seekable stream too. The container's size list delimits it, so bytes
+  // after it stay unread, for the caller.
   const Bytes input = datagen::matrix(150000);
   CompressOptions opt;
   opt.block_size = 32 * 1024;
   const Bytes file = compress(input, opt);
-  std::istringstream cin(std::string(file.begin(), file.end()));
+  std::istringstream cin(to_string(file) + "TRAILING");
   std::ostringstream out;
   EXPECT_EQ(decompress_stream(cin, out), input.size());
   EXPECT_EQ(out.str(), to_string(input));
+  EXPECT_EQ(static_cast<std::uint64_t>(cin.tellg()), file.size());
 }
 
 TEST(Stream, MultiThreadedStreamDecodeMatches) {
@@ -358,7 +368,7 @@ TEST(Stream, ExplicitDeStrategyRejectedOnNonDeStream) {
     EXPECT_THROW(decompress_stream(cin, out, dopt), Error);
   }
   {
-    std::istringstream cin(compressed.str());  // seekable: the session path
+    std::istringstream cin(compressed.str());  // seekable, read the same way
     std::ostringstream out;
     EXPECT_THROW(decompress_stream(cin, out, dopt), Error);
   }
@@ -498,23 +508,61 @@ TEST(Stream, PipeLyingCompressedSizeFailsPromptly) {
   EXPECT_TRUE(out.str().empty());
 }
 
+/// A gzip member of stored (uncompressed) DEFLATE blocks: real RFC 1952
+/// framing without a compressor.
+Bytes gzip_stored_member(const Bytes& data) {
+  Bytes out = {0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255};  // no flags, OS unknown
+  std::size_t pos = 0;
+  do {
+    const std::size_t n = std::min<std::size_t>(data.size() - pos, 65535);
+    out.push_back(pos + n == data.size() ? 1 : 0);  // BFINAL, BTYPE 00
+    for (const std::size_t v : {n, n ^ 0xFFFF}) {    // LEN, NLEN
+      out.push_back(static_cast<std::uint8_t>(v));
+      out.push_back(static_cast<std::uint8_t>(v >> 8));
+    }
+    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(pos),
+               data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    pos += n;
+  } while (pos < data.size());
+  put_u32le(out, crc32(data));
+  put_u32le(out, static_cast<std::uint32_t>(data.size()));
+  return out;
+}
+
 TEST(Stream, FileRoundTrip) {
+  // decompress_file() opens each regular file with open(path): a GMPS
+  // stream, a gzip member and a bare GMPZ container.
   const Bytes input = datagen::wikipedia(250000);
   const std::string src = "/tmp/gompresso_stream_src.bin";
-  const std::string gz = "/tmp/gompresso_stream.gmps";
+  const std::string gmps = "/tmp/gompresso_stream.gmps";
+  const std::string gz = "/tmp/gompresso_stream.gz";
+  const std::string gmpz = "/tmp/gompresso_stream.gmpz";
   const std::string back = "/tmp/gompresso_stream_back.bin";
-  {
-    std::ofstream f(src, std::ios::binary);
-    f.write(reinterpret_cast<const char*>(input.data()),
-            static_cast<std::streamsize>(input.size()));
-  }
+  const auto write = [](const std::string& path, const Bytes& data) {
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+  };
+  write(src, input);
   CompressOptions opt;
   opt.block_size = 32 * 1024;
-  EXPECT_EQ(compress_file(src, gz, opt, 100000), input.size());
-  EXPECT_EQ(decompress_file(gz, back), input.size());
-  std::ifstream f(back, std::ios::binary);
-  Bytes result((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  EXPECT_EQ(result, input);
+  EXPECT_EQ(compress_file(src, gmps, opt, 100000), input.size());
+  write(gz, gzip_stored_member(input));
+  write(gmpz, compress(input, opt));
+  for (const std::string& path : {gmps, gz, gmpz}) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(decompress_file(path, back), input.size());
+    std::ifstream f(back, std::ios::binary);
+    Bytes result((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(result, input);
+  }
+  // A regular file is the container: open()'s payload check rejects
+  // trailing bytes after a bare GMPZ.
+  Bytes trailing = compress(input, opt);
+  trailing.push_back(0x5A);
+  write(gmpz, trailing);
+  EXPECT_THROW(decompress_file(gmpz, back), FormatError);
+  for (const std::string& path : {src, gmps, gz, gmpz, back}) std::remove(path.c_str());
 }
 
 }  // namespace

@@ -485,7 +485,7 @@ TEST(ByteReader, IstreamReaderMatchesSpanReaderAndSkips) {
   Rng rng(3);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
   std::istringstream in(std::string(data.begin(), data.end()));
-  util::IstreamReader r(in, /*buffer_size=*/257);  // awkward size on purpose
+  util::IstreamReader r(in);
   Bytes head(1000);
   r.read_exact(MutableByteSpan(head.data(), head.size()));
   EXPECT_TRUE(std::equal(head.begin(), head.end(), data.begin()));
